@@ -1,0 +1,102 @@
+"""SHA-256 digests of margfact's outputs, to show that a refactor keeps them bit for bit.
+
+    python3 scripts/output_digest.py
+
+Run it from the repository root on two commits and compare the lines. It
+uses the benchmark's cohorts (bench/workloads.py) and pins BLAS to one
+thread before numpy loads. Each line is `<output> <sha256>`:
+
+- fit500: the loss_trace of seeds 0-5 over 60 sweeps (log_every=1);
+- cohort10k: project_patients of the 1,000 held-out patients of seed 0,
+  under a model fitted for 2 sweeps on the other 9,000;
+- cv_mixed: five_fold_cv fold AUPRCs and lambdas of seed 1;
+- split: the labels of split_train_test(stratify=True) and the Dx values
+  of a plain split of cv_mixed seed 1, for split seeds 0-4;
+- three_way: every block gradient, the objective and two correspondence
+  rows of a three-modality model (the column-scale product with skips).
+"""
+
+import dataclasses
+import hashlib
+import os
+import sys
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+
+import numpy as np  # noqa: E402
+
+import workloads  # noqa: E402
+from margfact import (InteractionTensorSpec, ModelSpec, SolverConfig,  # noqa: E402
+                      build_model, extract_correspondence, five_fold_cv,
+                      gradient_block, objective, project_patients,
+                      split_train_test, synth_generate, train)
+from margfact.data_io import _take_patients  # noqa: E402
+from margfact.model import SHARED  # noqa: E402
+
+
+def sha(*parts):
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(np.ascontiguousarray(np.asarray(part, dtype=float)).tobytes())
+    return h.hexdigest()
+
+
+def fit500(seed):
+    cohort = workloads.generate(workloads.WORKLOADS["fit500"], seed)
+    model = build_model(cohort.spec, cohort.observations)
+    report = train(model, dataclasses.replace(cohort.spec.solver, max_sweeps=60))
+    return sha([f for _, f in report.loss_trace])
+
+
+def cohort10k():
+    cohort = workloads.generate(workloads.WORKLOADS["cohort10k"], 0)
+    fit_obs = _take_patients(cohort.observations, list(range(9000)))
+    test_obs = _take_patients(cohort.observations, list(range(9000, 10000)))
+    model = build_model(cohort.spec, fit_obs)
+    train(model, dataclasses.replace(cohort.spec.solver, max_sweeps=2))
+    return sha(project_patients(model, test_obs))
+
+
+def cv_and_split():
+    cohort = workloads.generate(workloads.WORKLOADS["cv_mixed"], 1)
+    result = five_fold_cv(cohort.observations, cohort.labels, cohort.spec, cohort.spec.solver,
+                          seed=0)
+    cv = sha([[f["auprc"], f["lambda"]] for f in result["folds"]])
+    splits = []
+    for seed in range(5):
+        (_, y_train), (_, y_test) = split_train_test(cohort.observations, cohort.labels,
+                                                     seed=seed, stratify=True)
+        splits += [y_train, y_test]
+        train_obs, test_obs = split_train_test(cohort.observations, seed=seed)
+        splits += [train_obs["Dx"].values, test_obs["Dx"].values]
+    return cv, sha(*splits)
+
+
+def three_way():
+    spec = ModelSpec(rank=4, tensors=[
+        InteractionTensorSpec("abc", ["A", "B", "C"], "poisson"),
+        InteractionTensorSpec("bd", ["B", "D"], "gaussian", 0.5)],
+        init_seed=3, solver=SolverConfig(max_sweeps=5, step0=1e-4))
+    obs, _ = synth_generate(spec, {"A": 6, "B": 5, "C": 7, "D": 4},
+                            {"A": "integer", "B": "binary", "C": "integer", "D": "real"},
+                            n_patients=40, seed=3)
+    model = build_model(spec, obs)
+    train(model)
+    grads = [gradient_block(model, b) for b in [SHARED] + spec.modality_order]
+    rows = [extract_correspondence(model, "abc", "A", "A_0", "C").scores,
+            extract_correspondence(model, "abc", "C", "C_1", "B").scores]
+    return sha(*grads, [objective(model)], *rows)
+
+
+if __name__ == "__main__":
+    for seed in range(6):
+        print(f"fit500.seed{seed}.loss_trace {fit500(seed)}", flush=True)
+    print(f"cohort10k.project_patients {cohort10k()}", flush=True)
+    cv, split = cv_and_split()
+    print(f"cv_mixed.five_fold_cv {cv}")
+    print(f"cv_mixed.split_train_test {split}")
+    print(f"three_way.gradients_objective_correspondence {three_way()}")

@@ -10,14 +10,12 @@ from .errors import (ConfigurationError, IngestionError, MargfactError,
                      NumericError, OracleScaleError)
 from .evaluate import auprc, five_fold_cv, lasso_logistic_fit
 from .likelihoods import (GaussianParams, ObservationKind, erf, erf_derivative,
-                          grad_nll_wrt_reconstruction, nll, nll_gaussian_binary,
-                          nll_gaussian_real, nll_poisson_binary,
-                          nll_poisson_integer)
+                          grad_nll_wrt_reconstruction, nll)
 from .model import (InteractionTensorSpec, Model, ModelSpec, SolverConfig,
                     build_model, gradient_block, load_model, objective,
-                    project_patients, save_model)
+                    project_patients, projected_step, save_model)
 from .regularizers import RegularizerConfig, angular_penalty, elastic_net
-from .solver import TrainReport, projected_step, train
+from .solver import TrainReport, train
 from .tensor import (marginalize, reconstruct_full, reconstruct_marginal,
                      reconstruct_slice)
 

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
+from .regularizers import column_cosines
 from .tensor import marginal_scales
 
 
@@ -65,13 +66,9 @@ def extract_correspondence(model, tensor_id, anchor_modality, anchor_item,
 
     # accumulate shared rows over the population, fold in the scale factors
     # of every tensor modality other than anchor and target
-    blocks = [model.factors[m] for m in tensor.modalities]
-    a_idx = tensor.modalities.index(anchor_modality)
-    t_idx = tensor.modalities.index(target_modality)
-    other_scales = np.ones(model.spec.rank)
-    for kk, b in enumerate(blocks):
-        if kk not in (a_idx, t_idx):
-            other_scales *= b.sum(axis=0)
+    other_scales = marginal_scales([model.factors[m] for m in tensor.modalities],
+                                   tensor.modalities.index(anchor_modality),
+                                   tensor.modalities.index(target_modality))
     w = model.shared[population].sum(axis=0) * other_scales
 
     row = (model.factors[anchor_modality][j] * w) @ model.factors[target_modality].T
@@ -108,16 +105,9 @@ def extract_phenotypes(model, weight_threshold=1e-4):
 
 def _cosine_pair_sum(U):
     """Sum over r2 > r1 of cos(u_r1, u_r2); zero columns contribute 0."""
-    norms = np.linalg.norm(U, axis=0)
-    safe = np.where(norms > 0, norms, 1.0)
-    Un = U / safe
     # clip so identical columns give exactly 1 despite norm rounding
-    cos = np.clip(Un.T @ Un, -1.0, 1.0)
-    dead = norms == 0
-    cos[dead, :] = 0.0
-    cos[:, dead] = 0.0
-    iu = np.triu_indices(U.shape[1], k=1)
-    return float(np.sum(cos[iu]))
+    cos = np.clip(column_cosines(U)[0], -1.0, 1.0)
+    return float(np.sum(cos[np.triu_indices(U.shape[1], k=1)]))
 
 
 def cosine_similarity_metric(factors, ordered_pairs_normalizer=True):

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigurationError, IngestionError
 from .likelihoods import (BINARY, GAUSSIAN, INTEGER, POISSON, REAL,
                           GaussianParams, ObservationKind, erf)
-from .tensor import reconstruct_marginal
+from .tensor import multiplicity, reconstruct_marginal
 
 
 @dataclass
@@ -49,8 +49,16 @@ def _check_values(modality, kind, values, context=""):
 
 
 def _read_vocab(path):
+    first_line = {}  # item -> line number, in file order
     with open(path, encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=1):
+            item = line.strip()
+            if item in first_line:
+                raise IngestionError(f"{path}:{lineno}: duplicate vocabulary item {item!r} "
+                                     f"(first on line {first_line[item]})")
+            if item:
+                first_line[item] = lineno
+    return list(first_line)
 
 
 def _read_triplets(path):
@@ -182,6 +190,13 @@ def _take_patients(observations, idx):
     return out
 
 
+def class_permutations(labels, rng):
+    """Indices of class 0, then of class 1, each shuffled by rng in that order."""
+    labels = np.asarray(labels)
+    members = [np.flatnonzero(labels == cls) for cls in (0, 1)]
+    return [m[rng.permutation(len(m))] for m in members]
+
+
 def split_train_test(observations, labels=None, ratio=0.8, seed=0, stratify=False):
     """Partition patients by a seeded shuffle; all modalities split consistently."""
     if not (0.0 < ratio < 1.0):
@@ -192,9 +207,7 @@ def split_train_test(observations, labels=None, ratio=0.8, seed=0, stratify=Fals
     rng = np.random.default_rng(seed)
     if stratify and labels is not None:
         train_idx, test_idx = [], []
-        for cls in (0, 1):
-            members = np.flatnonzero(np.asarray(labels) == cls)
-            perm = members[rng.permutation(len(members))]
+        for perm in class_permutations(labels, rng):
             cut = int(round(ratio * len(perm)))
             train_idx.extend(perm[:cut])
             test_idx.extend(perm[cut:])
@@ -266,7 +279,7 @@ def synth_generate(model_spec, modality_sizes, datatypes, n_patients,
                 else:
                     values = (rng.uniform(size=vhat.shape) < -np.expm1(-vhat)).astype(float)
             else:
-                t_n = max(1, sum(factors[m].shape[0] for m in mods if m != name))
+                t_n = multiplicity(blocks, k)
                 std = math.sqrt(t_n * tensor.sigma2) if tensor.sigma2 > 0 else 0.0
                 if dtype == REAL:
                     values = np.maximum(0.0, vhat + std * rng.standard_normal(vhat.shape))

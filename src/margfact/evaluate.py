@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .data_io import _take_patients
+from .data_io import _take_patients, class_permutations
 from .model import build_model, project_patients
 from .solver import train
 
@@ -89,11 +89,8 @@ def auprc(scores, labels):
 
 
 def _stratified_folds(labels, n_folds, seed):
-    rng = np.random.default_rng(seed)
     folds = [[] for _ in range(n_folds)]
-    for cls in (0, 1):
-        members = np.flatnonzero(np.asarray(labels) == cls)
-        perm = members[rng.permutation(len(members))]
+    for perm in class_permutations(labels, np.random.default_rng(seed)):
         for pos, idx in enumerate(perm):
             folds[pos % n_folds].append(int(idx))
     return [sorted(f) for f in folds]
@@ -136,13 +133,9 @@ def five_fold_cv(observations, labels, model_spec, solver_cfg=None, n_folds=5,
 
 def _select_lambda(X, y, lambda_grid, seed):
     """Pick lambda by AUPRC on a stratified inner 80/20 validation split."""
-    rng = np.random.default_rng(seed)
     val_idx = []
-    for cls in (0, 1):
-        members = np.flatnonzero(y == cls)
-        perm = members[rng.permutation(len(members))]
-        n_val = max(1, int(round(0.2 * len(perm))))
-        val_idx.extend(perm[:n_val])
+    for perm in class_permutations(y, np.random.default_rng(seed)):
+        val_idx.extend(perm[:max(1, int(round(0.2 * len(perm))))])
     val_idx = sorted(val_idx)
     fit_idx = sorted(set(range(len(y))) - set(val_idx))
     if len(np.unique(y[fit_idx])) < 2 or len(np.unique(y[val_idx])) < 2:

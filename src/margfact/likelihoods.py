@@ -143,26 +143,6 @@ def nll_gaussian_binary_cells(Vb, Vhat, params):
     return -(Vb * np.log(p) + (1.0 - Vb) * np.log(1.0 - p))
 
 
-def nll_poisson_integer(V, Vhat):
-    """Sum over cells of vhat - v log(vhat); Poisson NLL without the log(v!) constant."""
-    return float(np.sum(nll_poisson_integer_cells(np.asarray(V, float), np.asarray(Vhat, float))))
-
-
-def nll_poisson_binary(Vb, Vhat):
-    """Bernoulli NLL of the Poisson-quantized observation, p = 1 - exp(-vhat)."""
-    return float(np.sum(nll_poisson_binary_cells(np.asarray(Vb, float), np.asarray(Vhat, float))))
-
-
-def nll_gaussian_real(V, Vhat, params):
-    """Gaussian NLL of the marginal with variance t_n sigma^2."""
-    return float(np.sum(nll_gaussian_real_cells(np.asarray(V, float), np.asarray(Vhat, float), params)))
-
-
-def nll_gaussian_binary(Vb, Vhat, params):
-    """Bernoulli NLL of the Gaussian-quantized observation."""
-    return float(np.sum(nll_gaussian_binary_cells(np.asarray(Vb, float), np.asarray(Vhat, float), params)))
-
-
 def nll_cells(kind, V, Vhat, params=None):
     """Elementwise NLL contributions for any observation kind."""
     V = np.asarray(V, dtype=float)
@@ -177,6 +157,13 @@ def nll_cells(kind, V, Vhat, params=None):
 
 
 def nll(kind, V, Vhat, params=None):
+    """Summed NLL of observations V under reconstruction Vhat.
+
+    Poisson-integer: vhat - v log(vhat), without the log(v!) constant.
+    Poisson-binary: Bernoulli with p = 1 - exp(-vhat). Gaussian-real:
+    variance t_n sigma^2. Gaussian-binary: Bernoulli with p from
+    gaussian_binary_prob. The Gaussian kinds take GaussianParams.
+    """
     return float(np.sum(nll_cells(kind, V, Vhat, params)))
 
 

@@ -7,18 +7,17 @@ per-target-marginal NLL terms plus the two regularizers.
 """
 
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import likelihoods as lk
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, IngestionError
 from .regularizers import (RegularizerConfig, angular_penalty,
                            angular_penalty_grad, elastic_net, elastic_net_grad)
-from .tensor import (marginal_scales, read_factor_csv, reconstruct_marginal,
-                     write_factor_csv)
+from .tensor import (marginal_scales, multiplicity, read_factor_csv,
+                     reconstruct_marginal, write_factor_csv)
 
 SHARED = "__shared__"
 
@@ -141,8 +140,7 @@ class Model:
                 kind = lk.ObservationKind(tensor.distribution, obs.kind.datatype)
                 params = None
                 if tensor.distribution == lk.GAUSSIAN:
-                    t_n = max(1, sum(b.shape[0] for j, b in enumerate(blocks) if j != k))
-                    params = lk.GaussianParams(tensor.sigma2, t_n)
+                    params = lk.GaussianParams(tensor.sigma2, multiplicity(blocks, k))
                 yield tensor, k, name, blocks, obs.values, kind, params
 
 
@@ -208,11 +206,8 @@ def gradient_block(model, block):
         else:
             # non-target modality: vhat depends on it only through its column sums
             j = tensor.modalities.index(block)
-            scales_minus_j = np.ones(model.spec.rank)
-            for kk, b in enumerate(blocks):
-                if kk not in (k, j):
-                    scales_minus_j *= b.sum(axis=0)
-            w = scales_minus_j * np.einsum("ic,il,lc->c", model.shared, G, blocks[k])
+            w = (marginal_scales(blocks, k, j)
+                 * np.einsum("ic,il,lc->c", model.shared, G, blocks[k]))
             grad += np.broadcast_to(w, grad.shape)
 
     if block != SHARED:
@@ -220,6 +215,45 @@ def gradient_block(model, block):
         grad = grad + elastic_net_grad(model.factors[block], cfg)
         grad = grad + angular_penalty_grad(model.factors[block], cfg, block)
     return grad
+
+
+def projected_step(values, grad, eval_objective, f_current, cfg):
+    """One backtracked projected gradient step, on a block or on its rows.
+
+    Candidate = max(0, values - eta * grad); eta starts at cfg.step0 and is
+    multiplied by cfg.backtrack until the projected-direction Armijo
+    condition holds or the halving budget is spent, and then the values
+    stay unchanged. A scalar f_current makes the whole block one problem.
+    A vector f_current of length n makes row i of the block an independent
+    problem with its own step size; eval_objective then returns one value
+    per row, and each row's value must depend on that row alone. A zero
+    projected step is stationary: accepted, unchanged. Returns
+    (new_values, new_objective, accepted), the last two shaped like
+    f_current.
+    """
+    f = np.array(f_current, dtype=float).reshape(-1)
+    rows = values.reshape(f.size, -1)
+    step = grad.reshape(f.size, -1)
+    out = rows.copy()
+    pending = np.ones(f.size, dtype=bool)
+    eta = cfg.step0  # every pending row has halved its step the same number of times
+    for _ in range(cfg.max_halvings + 1):
+        trial = np.maximum(0.0, rows - eta * step)
+        dist2 = np.add.reduce((trial - rows) ** 2, axis=1)
+        pending &= dist2 != 0.0
+        if not pending.any():
+            break
+        # settled rows are evaluated at whatever trial they hold and ignored
+        f_trial = eval_objective(trial.reshape(values.shape))
+        ok = pending & (f_trial <= f - cfg.armijo_c * dist2 / eta)
+        if ok.any():
+            out[ok] = trial[ok]
+            f = np.where(ok, f_trial, f)
+            pending &= ~ok
+        eta *= cfg.backtrack
+    if np.ndim(f_current) == 0:  # plain float and bool, as the JSON step log needs
+        return out.reshape(values.shape), float(f[0]), not pending[0]
+    return out.reshape(values.shape), f, ~pending
 
 
 def project_patients(model, new_obs, cfg=None):
@@ -242,55 +276,26 @@ def project_patients(model, new_obs, cfg=None):
 
     n_new = len(next(iter(new_obs.values())).shared_ids)
     S = np.tile(np.maximum(model.shared.mean(axis=0), 1e-6), (n_new, 1))
-
-    term_cache = []
-    for tensor, k, name, blocks, _, kind, params in model.terms():
-        scales = marginal_scales(blocks, k)
-        term_cache.append((new_obs[name].values, blocks[k], scales, kind, params))
+    frozen = Model(model.spec, new_obs, S, model.factors)
 
     def row_objective(S_):
         f = np.zeros(n_new)
-        for V, B, scales, kind, params in term_cache:
-            vhat = (S_ * scales) @ B.T
+        for _, k, _, blocks, V, kind, params in frozen.terms():
+            vhat = (S_ * marginal_scales(blocks, k)) @ blocks[k].T
             f += lk.nll_cells(kind, V, vhat, params).sum(axis=1)
         return f
-
-    def row_gradient(S_):
-        g = np.zeros_like(S_)
-        for V, B, scales, kind, params in term_cache:
-            vhat = (S_ * scales) @ B.T
-            G = lk.grad_nll_wrt_reconstruction(kind, V, vhat, params)
-            g += (G @ B) * scales
-        return g
 
     f = row_objective(S)
     active = np.ones(n_new, dtype=bool)  # rows converge independently
     for _ in range(cfg.max_sweeps):
         if not active.any():
             break
-        g = row_gradient(S)
-        eta = np.full(n_new, cfg.step0)
-        accepted = ~active.copy()
-        cand = S.copy()
-        f_new = f.copy()
-        for _ in range(cfg.max_halvings + 1):
-            pending = ~accepted
-            if not pending.any():
-                break
-            trial = np.maximum(0.0, S[pending] - eta[pending, None] * g[pending])
-            full_trial = S.copy()
-            full_trial[pending] = trial
-            f_trial = row_objective(full_trial)
-            dist2 = np.sum((trial - S[pending]) ** 2, axis=1)
-            ok = f_trial[pending] <= f[pending] - cfg.armijo_c * dist2 / eta[pending]
-            idx = np.flatnonzero(pending)
-            good = idx[ok]
-            cand[good] = trial[ok]
-            f_new[good] = f_trial[good]
-            accepted[good] = True
-            eta[idx[~ok]] *= cfg.backtrack
+        frozen.shared = S
+        g = gradient_block(frozen, SHARED)
+        g[~active] = 0.0  # a zero step leaves a converged row as it is
+        S_new, f_new, _ = projected_step(S, g, row_objective, f, cfg)
         rel = np.abs(f - f_new) / np.maximum(1.0, np.abs(f))
-        S, f = cand, f_new
+        S, f = S_new, f_new
         active &= rel >= cfg.tol
     return S
 
@@ -310,17 +315,27 @@ def save_model(model, out_dir):
 
 
 def load_model(model_dir, observations):
-    """Rebuild a fitted model from a saved directory plus its observations."""
+    """Rebuild a fitted model from a saved directory plus its observations.
+
+    Every saved factor must list the observations' entity ids in their
+    order and have spec.rank columns; a model saved against another
+    manifest raises IngestionError.
+    """
     spec = ModelSpec.load(os.path.join(model_dir, "spec.json"))
     model = build_model(spec, observations)
-    _, model.shared = read_factor_csv(os.path.join(model_dir, "shared.csv"))
+    model.shared = _read_factor(os.path.join(model_dir, "shared.csv"), model.shared_ids,
+                                spec.rank)
     for name in model.factors:
-        _, model.factors[name] = read_factor_csv(os.path.join(model_dir, f"{name}.csv"))
+        model.factors[name] = _read_factor(os.path.join(model_dir, f"{name}.csv"),
+                                           observations[name].item_ids, spec.rank)
     return model
 
 
-def check_finite_objective(model):
-    f = objective(model)
-    if not math.isfinite(f):
-        raise NumericError(f"objective is not finite at initialization: {f}")
-    return f
+def _read_factor(path, expected_ids, rank):
+    ids, U = read_factor_csv(path)
+    if ids != list(expected_ids):
+        raise IngestionError(f"{path}: its {len(ids)} entity ids do not match the "
+                             f"{len(expected_ids)} ids of the observations, in order")
+    if U.shape[1] != rank:
+        raise IngestionError(f"{path}: rank {U.shape[1]} differs from the spec's rank {rank}")
+    return U

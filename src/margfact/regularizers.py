@@ -45,7 +45,7 @@ def elastic_net(factors, cfg):
     if cfg.gamma == 0.0:
         return 0.0
     total = 0.0
-    for U in _values(factors):
+    for U in factors.values() if isinstance(factors, dict) else factors:
         total += cfg.alpha * float(np.sum(U * U)) + (1.0 - cfg.alpha) * float(np.sum(np.abs(U)))
     return cfg.gamma * total
 
@@ -57,64 +57,48 @@ def elastic_net_grad(U, cfg):
     return cfg.gamma * (2.0 * cfg.alpha * U + (1.0 - cfg.alpha))
 
 
-def _column_cosines(U):
-    """(cos matrix, norms); zero columns get cosine 0 against everything."""
+def column_cosines(U):
+    """(cosine matrix, column norms); a zero column has cosine 0 against every column."""
     norms = np.linalg.norm(U, axis=0)
-    safe = np.where(norms > 0, norms, 1.0)
-    Un = U / safe
-    cos = Un.T @ Un
-    dead = norms == 0
-    cos[dead, :] = 0.0
-    cos[:, dead] = 0.0
-    return cos, norms
+    Un = U / np.where(norms > 0, norms, 1.0)
+    return Un.T @ Un, norms
 
 
-def angular_penalty(factors, cfg, modality_names=None):
+def angular_penalty(factors, cfg):
     """beta * sum over factors of sum_{r > r'} max(0, cos(u_r, u_r') - theta)^2."""
     if cfg.beta == 0.0:
         return 0.0
+    items = factors.items() if isinstance(factors, dict) else ((None, U) for U in factors)
     total = 0.0
-    for name, U in _items(factors, modality_names):
-        theta = cfg.theta_for(name)
-        cos, _ = _column_cosines(U)
-        R = U.shape[1]
-        iu = np.triu_indices(R, k=1)
-        h = np.maximum(0.0, cos[iu] - theta)
+    for name, U in items:
+        cos = column_cosines(U)[0]
+        h = np.maximum(0.0, cos[np.triu_indices(U.shape[1], k=1)] - cfg.theta_for(name))
         total += float(np.sum(h * h))
     return cfg.beta * total
 
 
 def angular_penalty_grad(U, cfg, modality=None):
-    """Gradient of the angular penalty on one factor block."""
-    grad = np.zeros_like(U)
+    """Gradient of the angular penalty on one factor block.
+
+    Pair (r, p) with h = cos(u_r, u_p) - theta > 0 adds 2 h d cos / d u_r
+    = 2 h (u_p / (|u_r| |u_p|) - cos u_r / |u_r|^2) to column r. Each
+    column sums its pairs in ascending order of p, and both columns of a
+    pair use the one cosine below the diagonal, so the result does not
+    depend on how the matrix product rounds the two triangles.
+    """
     if cfg.beta == 0.0:
-        return grad
-    theta = cfg.theta_for(modality)
-    cos, norms = _column_cosines(U)
-    R = U.shape[1]
-    for r in range(1, R):
-        for rp in range(r):
-            if norms[r] == 0 or norms[rp] == 0:
-                continue
-            h = cos[r, rp] - theta
-            if h <= 0:
-                continue
-            u, v = U[:, r], U[:, rp]
-            # d cos / d u = v / (|u||v|) - cos * u / |u|^2
-            dcos_du = v / (norms[r] * norms[rp]) - cos[r, rp] * u / (norms[r] ** 2)
-            dcos_dv = u / (norms[r] * norms[rp]) - cos[r, rp] * v / (norms[rp] ** 2)
-            grad[:, r] += 2.0 * h * dcos_du
-            grad[:, rp] += 2.0 * h * dcos_dv
+        return np.zeros_like(U)
+    cos, norms = column_cosines(U)
+    cos = np.tril(cos) + np.tril(cos, -1).T
+    h = cos - cfg.theta_for(modality)
+    np.fill_diagonal(h, 0.0)
+    n = np.where(norms > 0, norms, 1.0)
+    # scalar x ** 2 calls pow(), which can round differently from the array
+    # square; the scalar form keeps fits reproducible bit for bit
+    n2 = np.array([x ** 2 for x in n])
+    dcos = U[:, None, :] / (n[:, None] * n) - cos * U[:, :, None] / n2[:, None]
+    terms = np.where(h > 0, 2.0 * h, 0.0) * dcos  # (I, r, p)
+    grad = np.zeros_like(U)
+    for p in range(U.shape[1]):
+        grad += terms[:, :, p]
     return cfg.beta * grad
-
-
-def _values(factors):
-    return factors.values() if isinstance(factors, dict) else factors
-
-
-def _items(factors, names):
-    if isinstance(factors, dict):
-        return factors.items()
-    if names is None:
-        names = [None] * len(factors)
-    return zip(names, factors)

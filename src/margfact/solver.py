@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError
-from .model import SHARED, gradient_block, objective
+from .model import SHARED, gradient_block, objective, projected_step
 
 
 @dataclass
@@ -29,27 +29,6 @@ class TrainReport:
         return {"loss_trace": [[s, f] for s, f in self.loss_trace],
                 "converged": self.converged, "sweeps_run": self.sweeps_run,
                 "steps": self.step_log}
-
-
-def projected_step(values, grad, eval_objective, f_current, cfg):
-    """One backtracked projected gradient step on a single block.
-
-    Candidate = max(0, values - eta * grad); eta starts at cfg.step0 and
-    halves until the projected-direction Armijo condition holds or the
-    halving budget is exhausted (in which case the block is unchanged).
-    Returns (new_values, new_objective, accepted).
-    """
-    eta = cfg.step0
-    for _ in range(cfg.max_halvings + 1):
-        candidate = np.maximum(0.0, values - eta * grad)
-        dist2 = float(np.sum((candidate - values) ** 2))
-        if dist2 == 0.0:
-            return values, f_current, True  # zero (projected) gradient: stationary
-        f_candidate = eval_objective(candidate)
-        if f_candidate <= f_current - cfg.armijo_c * dist2 / eta:
-            return candidate, f_candidate, True
-        eta *= cfg.backtrack
-    return values, f_current, False
 
 
 def train(model, cfg=None):

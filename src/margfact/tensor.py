@@ -5,6 +5,8 @@ Full tensors are only ever materialized at oracle scale; the model itself
 works exclusively with marginal reconstructions.
 """
 
+import math
+
 import numpy as np
 
 from .errors import ConfigurationError, IngestionError, OracleScaleError
@@ -60,17 +62,19 @@ def marginalize(tensor, keep):
     return out
 
 
-def marginal_scales(modality_factors, target):
-    """Column-sum scale vector prod_{k != target} e^T U^(k), length R."""
+def marginal_scales(modality_factors, *skip):
+    """Column-sum scale vector prod_{k not in skip} e^T U^(k), length R."""
     scales = None
     for k, U in enumerate(modality_factors):
-        if k == target:
-            continue
-        cs = U.sum(axis=0)
-        scales = cs if scales is None else scales * cs
-    if scales is None:
-        scales = np.ones(modality_factors[target].shape[1])
-    return scales
+        if k not in skip:
+            cs = U.sum(axis=0)
+            scales = cs if scales is None else scales * cs
+    return np.ones(modality_factors[0].shape[1]) if scales is None else scales
+
+
+def multiplicity(modality_factors, target):
+    """Hidden cells summed into one marginal entry: prod_{k != target} I_k."""
+    return math.prod(U.shape[0] for k, U in enumerate(modality_factors) if k != target)
 
 
 def reconstruct_marginal(shared, modality_factors, target):

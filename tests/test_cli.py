@@ -160,6 +160,21 @@ class TestCorrespondence:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ("phenotypes",),
+    ("correspondence", "--anchor", "A:A_0", "--target", "B"),
+])
+def test_model_against_other_manifest_is_ingestion_error(trained, command):
+    _, model_dir, tmp_path = trained
+    other = tmp_path / "other"
+    assert run("synth", "--rank", "2", "--patients", "30",
+               "--modality", "A:4:integer:poisson", "--modality", "B:6:integer:poisson",
+               "--seed", "3", "--out", str(other)) == 0
+    code = run(*command, "--manifest", str(other / "manifest.json"), "--model", model_dir,
+               "--out", str(tmp_path / "out"))
+    assert code == 3
+
+
 class TestPhenotypes:
     def test_json_report(self, trained):
         manifest, model_dir, tmp_path = trained

@@ -64,6 +64,17 @@ class TestLoadSave:
         with pytest.raises(IngestionError, match=":3"):
             load_observations(d / "manifest.json")
 
+    def test_duplicate_vocabulary_line(self, tmp_path):
+        d = tmp_path / "data"
+        d.mkdir()
+        (d / "A.csv").write_text("patient_id,item_id,value\np0,a,1\n")
+        (d / "A.vocab.txt").write_text("a\nb\n\na\n")
+        (d / "manifest.json").write_text(
+            '{"modalities": [{"name": "A", "path": "A.csv", "kind": "poisson-integer",'
+            ' "vocab_path": "A.vocab.txt"}]}')
+        with pytest.raises(IngestionError, match=r"A\.vocab\.txt:4: .*'a'"):
+            load_observations(d / "manifest.json")
+
     def test_labels_round_trip(self, tmp_path):
         ids = [f"p{i}" for i in range(6)]
         labels = np.array([0, 1, 1, 0, 0, 1])

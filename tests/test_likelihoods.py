@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from margfact import (GaussianParams, ObservationKind, erf, erf_derivative,
-                      grad_nll_wrt_reconstruction, nll_gaussian_binary,
-                      nll_gaussian_real, nll_poisson_binary, nll_poisson_integer)
-from margfact.likelihoods import gaussian_binary_prob, nll
+                      grad_nll_wrt_reconstruction, nll)
+from margfact.likelihoods import gaussian_binary_prob
 
 from conftest import assert_grad_close, central_difference
 
@@ -25,29 +24,29 @@ def scalar_loop_nll_poisson_integer(V, Vhat):
 
 class TestPoissonInteger:
     def test_zero_counts_unit_mean(self):
-        assert nll_poisson_integer(np.zeros((2, 2)), np.ones((2, 2))) == pytest.approx(4.0)
+        assert nll(PI, np.zeros((2, 2)), np.ones((2, 2))) == pytest.approx(4.0)
 
     def test_single_matched_cell(self):
-        assert nll_poisson_integer(np.array([[1.0]]), np.array([[1.0]])) == pytest.approx(1.0)
+        assert nll(PI, np.array([[1.0]]), np.array([[1.0]])) == pytest.approx(1.0)
 
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(5)
         V = rng.poisson(2.0, size=(3, 4)).astype(float)
         Vhat = rng.uniform(0.5, 3.0, size=(3, 4))
-        assert nll_poisson_integer(V, Vhat) == pytest.approx(
+        assert nll(PI, V, Vhat) == pytest.approx(
             scalar_loop_nll_poisson_integer(V, Vhat), abs=1e-12)
 
     def test_finite_at_zero_mean(self):
-        assert math.isfinite(nll_poisson_integer(np.array([[3.0]]), np.array([[0.0]])))
+        assert math.isfinite(nll(PI, np.array([[3.0]]), np.array([[0.0]])))
 
 
 class TestPoissonBinary:
     def test_failure_term(self):
         a = 1.7
-        assert nll_poisson_binary(np.array([[0.0]]), np.array([[a]])) == pytest.approx(a)
+        assert nll(PB, np.array([[0.0]]), np.array([[a]])) == pytest.approx(a)
 
     def test_half_probability(self):
-        got = nll_poisson_binary(np.array([[1.0]]), np.array([[math.log(2.0)]]))
+        got = nll(PB, np.array([[1.0]]), np.array([[math.log(2.0)]]))
         assert got == pytest.approx(math.log(2.0), rel=1e-10)
 
     def test_equals_generic_bernoulli(self):
@@ -57,7 +56,7 @@ class TestPoissonBinary:
         Vhat = rng.uniform(0.2, 3.0, size=(3, 3))
         p = 1.0 - np.exp(-Vhat)
         bernoulli = -np.sum(Vb * np.log(p) + (1.0 - Vb) * np.log(1.0 - p))
-        assert nll_poisson_binary(Vb, Vhat) == pytest.approx(bernoulli, abs=1e-10)
+        assert nll(PB, Vb, Vhat) == pytest.approx(bernoulli, abs=1e-10)
 
     def test_monte_carlo_law(self):
         # quantized Poisson draws match p = 1 - exp(-vhat)
@@ -70,7 +69,7 @@ class TestPoissonBinary:
             assert abs(hits - p) < 3.5 * se
 
     def test_finite_at_zero_mean_positive_label(self):
-        assert math.isfinite(nll_poisson_binary(np.array([[1.0]]), np.array([[0.0]])))
+        assert math.isfinite(nll(PB, np.array([[1.0]]), np.array([[0.0]])))
 
     def test_probability_monotone(self):
         vhat = np.linspace(0.0, 10.0, 50)
@@ -84,11 +83,11 @@ class TestGaussianReal:
         # t_n * sigma2 = 1 / (2 pi) makes the log term vanish
         params = GaussianParams(sigma2=1.0 / (2.0 * math.pi), t_n=1)
         V = np.full((2, 2), 0.3)
-        assert nll_gaussian_real(V, V, params) == pytest.approx(0.0, abs=1e-12)
+        assert nll(GR, V, V, params) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_cell(self):
         params = GaussianParams(sigma2=1.0, t_n=1)
-        got = nll_gaussian_real(np.array([[1.0]]), np.array([[0.0]]), params)
+        got = nll(GR, np.array([[1.0]]), np.array([[0.0]]), params)
         assert got == pytest.approx(0.5 * (math.log(2.0 * math.pi) + 1.0), rel=1e-12)
 
     def test_variance_scaling_matches_loop(self):
@@ -100,7 +99,7 @@ class TestGaussianReal:
             ts2 = 3 * sigma2
             expected = sum(0.5 * (math.log(2 * math.pi * ts2) + (v - vh) ** 2 / ts2)
                            for v, vh in zip(V.ravel(), Vhat.ravel()))
-            assert nll_gaussian_real(V, Vhat, params) == pytest.approx(expected, rel=1e-12)
+            assert nll(GR, V, Vhat, params) == pytest.approx(expected, rel=1e-12)
 
 
 class TestGaussianBinary:
@@ -109,12 +108,12 @@ class TestGaussianBinary:
         p = gaussian_binary_prob(np.array([[0.0]]), params)
         assert p[0, 0] == pytest.approx(0.5)
         for label in (0.0, 1.0):
-            got = nll_gaussian_binary(np.array([[label]]), np.array([[0.0]]), params)
+            got = nll(GB, np.array([[label]]), np.array([[0.0]]), params)
             assert got == pytest.approx(math.log(2.0), rel=1e-10)
 
     def test_saturation(self):
         params = GaussianParams(sigma2=1.0, t_n=1)
-        got = nll_gaussian_binary(np.array([[1.0]]), np.array([[50.0]]), params)
+        got = nll(GB, np.array([[1.0]]), np.array([[50.0]]), params)
         assert got == pytest.approx(0.0, abs=1e-9)
 
     def test_unit_argument(self):

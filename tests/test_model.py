@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from margfact import (ConfigurationError, GaussianParams, InteractionTensorSpec,
-                      ModelSpec, ObservationKind, RegularizerConfig,
-                      angular_penalty, build_model, elastic_net, gradient_block,
-                      load_model, nll, objective, project_patients,
-                      reconstruct_marginal, save_model)
+from margfact import (ConfigurationError, GaussianParams, IngestionError,
+                      InteractionTensorSpec, ModelSpec, ObservationKind,
+                      RegularizerConfig, angular_penalty, build_model, elastic_net,
+                      gradient_block, load_model, marginalize, nll, objective,
+                      project_patients, reconstruct_full, reconstruct_marginal,
+                      save_model)
 from margfact.model import SHARED
 from margfact.solver import train
 
@@ -124,6 +125,27 @@ class TestObjective:
             only_cd.factors[name] = both.factors[name]
         assert objective(both) == pytest.approx(objective(only_ab) + objective(only_cd),
                                                 rel=1e-12)
+
+
+    def test_gaussian_multiplicity_matches_monte_carlo(self):
+        # each marginal entry sums prod_{k != n} I_k hidden cells, each with
+        # N(0, sigma2) noise, so its variance is t_n sigma2 with t_n that product
+        rng = np.random.default_rng(0)
+        sigma2 = 0.3
+        sizes = {"A": 3, "B": 4, "C": 5}
+        obs = {m: make_obs(m, np.zeros((2, n)), "gaussian", "real") for m, n in sizes.items()}
+        spec = ModelSpec(rank=2, tensors=[InteractionTensorSpec("abc", list(sizes), "gaussian",
+                                                                sigma2)])
+        model = build_model(spec, obs)
+        full = reconstruct_full([model.shared] + [model.factors[m] for m in sizes])
+        draws = [full + rng.normal(0.0, np.sqrt(sigma2), full.shape) for _ in range(3000)]
+        for _, k, _, blocks, _, _, params in model.terms():
+            marginals = np.array([marginalize(d, (0, k + 1)) for d in draws])
+            np.testing.assert_allclose(marginals.mean(axis=0),
+                                       reconstruct_marginal(model.shared, blocks, k),
+                                       atol=0.2)
+            assert marginals.var(axis=0).mean() == pytest.approx(params.t_n * params.sigma2,
+                                                                 rel=0.05)
 
 
 class TestGradientBlock:
@@ -262,6 +284,23 @@ class TestPersistence:
         for name in model.factors:
             np.testing.assert_array_equal(loaded.factors[name], model.factors[name])
         assert objective(loaded) == pytest.approx(objective(model), rel=1e-12)
+
+    def test_load_rejects_other_observations(self, tmp_path):
+        model = poisson_pair_model(seed=8, n_patients=6, max_sweeps=2)
+        save_model(model, tmp_path / "model")
+        obs = model.observations
+        reversed_patients = {n: make_obs(n, o.values[::-1], "poisson", "integer",
+                                         o.shared_ids[::-1]) for n, o in obs.items()}
+        one_more_item = dict(obs, B=make_obs("B", np.ones((6, 6)), "poisson", "integer",
+                                             obs["B"].shared_ids))
+        for other in (reversed_patients, one_more_item):
+            with pytest.raises(IngestionError, match="ids"):
+                load_model(tmp_path / "model", other)
+        spec = model.spec
+        spec.rank = 3
+        spec.save(tmp_path / "model" / "spec.json")
+        with pytest.raises(IngestionError, match="rank"):
+            load_model(tmp_path / "model", obs)
 
     def test_spec_json_round_trip(self, tmp_path):
         model = small_mixed_model()

@@ -76,6 +76,33 @@ class TestAngularPenalty:
             numeric = central_difference(lambda x: angular_penalty([x], cfg), U)
             assert_grad_close(analytic, numeric, rtol=1e-5)
 
+    def test_gradient_equals_pairwise_loop(self):
+        # reference: the pairwise loop over r > r', zero columns skipped
+        def loop_grad(U, cfg):
+            norms = np.linalg.norm(U, axis=0)
+            Un = U / np.where(norms > 0, norms, 1.0)
+            cos = Un.T @ Un
+            grad = np.zeros_like(U)
+            for r in range(1, U.shape[1]):
+                for rp in range(r):
+                    h = cos[r, rp] - cfg.theta
+                    if norms[r] == 0 or norms[rp] == 0 or h <= 0:
+                        continue
+                    u, v = U[:, r], U[:, rp]
+                    uv = norms[r] * norms[rp]
+                    grad[:, r] += 2.0 * h * (v / uv - cos[r, rp] * u / (norms[r] ** 2))
+                    grad[:, rp] += 2.0 * h * (u / uv - cos[r, rp] * v / (norms[rp] ** 2))
+            return cfg.beta * grad
+
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            rows, rank = rng.integers(1, 30), rng.integers(1, 12)
+            U = rng.uniform(size=(rows, rank)) * (rng.uniform(size=(rows, rank)) < 0.7)
+            if rng.uniform() < 0.2:
+                U[:, rng.integers(rank)] = 0.0
+            cfg = RegularizerConfig(beta=rng.uniform(0.1, 2.0), theta=rng.uniform())
+            np.testing.assert_array_equal(angular_penalty_grad(U, cfg), loop_grad(U, cfg))
+
     def test_nonnegative(self):
         rng = np.random.default_rng(21)
         cfg = RegularizerConfig(beta=1.0, theta=0.5)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,68 @@ class TestProjectedStep:
         assert accepted
         np.testing.assert_allclose(new, expected)
         assert fv < f(u0)
+
+
+class TestRowProjectedStep:
+    """A vector f_current makes each row of the block its own line search."""
+
+    @staticmethod
+    def problem():
+        # f_i(x) = 0.5 w_i ||x - t_i||^2: rows of growing curvature need more
+        # halvings; row 3 sits at its optimum, row 4 at the bound with a
+        # gradient pointing out of the orthant, and row 5 runs out of halvings
+        rng = np.random.default_rng(7)
+        w = np.array([1.0, 10.0, 100.0, 3.0, 5.0, 1e9])
+        t = rng.uniform(-0.5, 1.5, size=(6, 4))
+        x = rng.uniform(0.1, 1.0, size=(6, 4))
+        t[3] = x[3]
+        x[4] = 0.0
+        t[4] = -1.0
+        return w, t, x, w[:, None] * (x - t)
+
+    def test_rows_equal_scalar_calls_bit_for_bit(self):
+        w, t, x, grad = self.problem()
+        cfg = SolverConfig(step0=1.0, max_halvings=12)
+
+        def f_rows(v):
+            return 0.5 * w * np.sum((v - t) ** 2, axis=1)
+
+        new, f, accepted = projected_step(x, grad, f_rows, f_rows(x), cfg)
+        assert f.shape == accepted.shape == (6,)
+        for i in range(6):
+            def f_row(v, i=i):
+                return 0.5 * w[i] * np.sum((v - t[i]) ** 2)
+
+            row, fi, ok = projected_step(x[i], grad[i], f_row, f_row(x[i]), cfg)
+            np.testing.assert_array_equal(new[i], row)
+            assert f[i] == fi and accepted[i] == ok
+        assert list(accepted) == [True] * 5 + [False]
+        assert np.all(f[:3] < f_rows(x)[:3])
+
+    def test_zero_step_rows_unchanged_and_accepted(self):
+        w, t, x, grad = self.problem()
+        cfg = SolverConfig(step0=1.0)
+        f0 = 0.5 * w * np.sum((x - t) ** 2, axis=1)
+
+        def never(v):
+            raise AssertionError("a stationary block needs no evaluation")
+
+        rows = [3, 4]
+        new, f, accepted = projected_step(x[rows], grad[rows], never, f0[rows], cfg)
+        np.testing.assert_array_equal(new, x[rows])
+        np.testing.assert_array_equal(f, f0[rows])
+        assert accepted.all()
+
+    def test_scalar_call_returns_json_types(self):
+        w, t, x, grad = self.problem()
+
+        def f_all(v):
+            return float(0.5 * np.sum(w[:, None] * (v - t) ** 2))
+
+        for g in (grad, np.zeros_like(grad)):
+            _, f, accepted = projected_step(x, g, f_all, f_all(x), SolverConfig(step0=1e-3))
+            assert json.loads(json.dumps([f, accepted])) == [f, accepted]
+            assert type(f) is float and type(accepted) is bool
 
 
 class TestTrain:

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .regularizers import column_cosines
+from .regularizers import column_cosines, upper_pairs
 from .tensor import marginal_scales
 
 
@@ -107,7 +107,7 @@ def _cosine_pair_sum(U):
     """Sum over r2 > r1 of cos(u_r1, u_r2); zero columns contribute 0."""
     # clip so identical columns give exactly 1 despite norm rounding
     cos = np.clip(column_cosines(U)[0], -1.0, 1.0)
-    return float(np.sum(cos[np.triu_indices(U.shape[1], k=1)]))
+    return float(np.sum(cos[upper_pairs(U.shape[1])]))
 
 
 def cosine_similarity_metric(factors, ordered_pairs_normalizer=True):

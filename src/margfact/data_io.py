@@ -39,13 +39,15 @@ class ObservationMatrix:
         return len(self.item_ids)
 
 
-def _check_values(modality, kind, values, context=""):
+def _check_values(modality, kind, values):
+    if not np.isfinite(values).all():
+        raise IngestionError(f"{modality}: non-finite value (NaN or inf) present")
     if np.any(values < 0):
-        raise IngestionError(f"{modality}{context}: negative value present")
+        raise IngestionError(f"{modality}: negative value present")
     if kind.datatype == INTEGER and np.any(values != np.round(values)):
-        raise IngestionError(f"{modality}{context}: non-integer value in integer-kind matrix")
+        raise IngestionError(f"{modality}: non-integer value in integer-kind matrix")
     if kind.datatype == BINARY and np.any((values != 0) & (values != 1)):
-        raise IngestionError(f"{modality}{context}: non-binary value in binary-kind matrix")
+        raise IngestionError(f"{modality}: non-binary value in binary-kind matrix")
 
 
 def _read_vocab(path):

@@ -5,7 +5,10 @@ binary, Gaussian reals, and Gaussian-quantized binary. Each kernel is an
 elementwise cell function summed over the matrix, with an analytic
 gradient with respect to the reconstruction. All kernels are guarded so
 they stay finite on the non-negative orthant (projected factors can hit
-exact zero).
+exact zero). The Poisson-binary log term log(e^vhat - 1) and its gradient
+term V / p are evaluated on the observed (nonzero) cells only: every
+unobserved cell is floor(vhat) (gradient 1) whatever vhat is, exactly as
+the dense formula gives for a finite vhat.
 """
 
 import math
@@ -123,7 +126,11 @@ def nll_poisson_integer_cells(V, Vhat):
 
 
 def nll_poisson_binary_cells(Vb, Vhat):
-    return _floor(Vhat) - Vb * _log_expm1(Vhat)
+    # an unobserved cell is floor(vhat) - 0 * log(e^vhat - 1) = floor(vhat)
+    out = _floor(Vhat)
+    on = np.flatnonzero(Vb)
+    out.flat[on] -= Vb.flat[on] * _log_expm1(Vhat.flat[on])
+    return out
 
 
 def nll_gaussian_real_cells(V, Vhat, params):
@@ -174,8 +181,10 @@ def grad_nll_wrt_reconstruction(kind, V, Vhat, params=None):
     if kind.distribution == POISSON:
         if kind.datatype == INTEGER:
             return 1.0 - V / _floor(Vhat)
-        p = _clamp_prob(-np.expm1(-_floor(Vhat)))
-        return 1.0 - V / p
+        G = np.ones_like(Vhat)  # 1 - 0 / p on every unobserved cell
+        on = np.flatnonzero(V)
+        G.flat[on] = 1.0 - V.flat[on] / _clamp_prob(-np.expm1(-_floor(Vhat.flat[on])))
+        return G
     if kind.datatype == REAL:
         return (Vhat - V) / (params.t_n * params.sigma2)
     denom = math.sqrt(2.0 * params.t_n) * math.sqrt(params.sigma2)

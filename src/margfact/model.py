@@ -223,14 +223,17 @@ def projected_step(values, grad, eval_objective, f_current, cfg):
     Candidate = max(0, values - eta * grad); eta starts at cfg.step0 and is
     multiplied by cfg.backtrack until the projected-direction Armijo
     condition holds or the halving budget is spent, and then the values
-    stay unchanged. A scalar f_current makes the whole block one problem.
-    A vector f_current of length n makes row i of the block an independent
-    problem with its own step size; eval_objective then returns one value
-    per row, and each row's value must depend on that row alone. A zero
-    projected step is stationary: accepted, unchanged. Returns
+    stay unchanged. A scalar f_current makes the whole block one problem,
+    and eval_objective(candidate) returns its objective. A vector
+    f_current of length n (length 1 included) makes row i of the block an
+    independent problem with its own step size: each halving calls
+    eval_objective(trial_rows, rows) with the trial values of the rows
+    still searching and their indices, and it returns one value per row,
+    each depending on that row alone. A zero projected step is stationary: accepted, unchanged. Returns
     (new_values, new_objective, accepted), the last two shaped like
     f_current.
     """
+    by_row = np.ndim(f_current) != 0
     f = np.array(f_current, dtype=float).reshape(-1)
     rows = values.reshape(f.size, -1)
     step = grad.reshape(f.size, -1)
@@ -243,15 +246,19 @@ def projected_step(values, grad, eval_objective, f_current, cfg):
         pending &= dist2 != 0.0
         if not pending.any():
             break
-        # settled rows are evaluated at whatever trial they hold and ignored
-        f_trial = eval_objective(trial.reshape(values.shape))
+        if by_row:
+            idx = np.flatnonzero(pending)
+            f_trial = f.copy()  # settled rows keep their value and are ignored
+            f_trial[idx] = eval_objective(trial[idx], idx)
+        else:
+            f_trial = eval_objective(trial.reshape(values.shape))
         ok = pending & (f_trial <= f - cfg.armijo_c * dist2 / eta)
         if ok.any():
             out[ok] = trial[ok]
             f = np.where(ok, f_trial, f)
             pending &= ~ok
         eta *= cfg.backtrack
-    if np.ndim(f_current) == 0:  # plain float and bool, as the JSON step log needs
+    if not by_row:  # plain float and bool, as the JSON step log needs
         return out.reshape(values.shape), float(f[0]), not pending[0]
     return out.reshape(values.shape), f, ~pending
 
@@ -278,14 +285,14 @@ def project_patients(model, new_obs, cfg=None):
     S = np.tile(np.maximum(model.shared.mean(axis=0), 1e-6), (n_new, 1))
     frozen = Model(model.spec, new_obs, S, model.factors)
 
-    def row_objective(S_):
-        f = np.zeros(n_new)
+    def row_objective(S_rows, rows):
+        f = np.zeros(len(rows))
         for _, k, _, blocks, V, kind, params in frozen.terms():
-            vhat = (S_ * marginal_scales(blocks, k)) @ blocks[k].T
-            f += lk.nll_cells(kind, V, vhat, params).sum(axis=1)
+            vhat = (S_rows * marginal_scales(blocks, k)) @ blocks[k].T
+            f += lk.nll_cells(kind, V[rows], vhat, params).sum(axis=1)
         return f
 
-    f = row_objective(S)
+    f = row_objective(S, np.arange(n_new))
     active = np.ones(n_new, dtype=bool)  # rows converge independently
     for _ in range(cfg.max_sweeps):
         if not active.any():

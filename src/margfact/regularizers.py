@@ -7,6 +7,7 @@ contribute cosine 0 (no penalty, no gradient).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,6 +65,15 @@ def column_cosines(U):
     return Un.T @ Un, norms
 
 
+@lru_cache(maxsize=None)
+def upper_pairs(rank):
+    """np.triu_indices(rank, k=1), built once per rank and read-only."""
+    pairs = np.triu_indices(rank, k=1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
 def angular_penalty(factors, cfg):
     """beta * sum over factors of sum_{r > r'} max(0, cos(u_r, u_r') - theta)^2."""
     if cfg.beta == 0.0:
@@ -72,7 +82,7 @@ def angular_penalty(factors, cfg):
     total = 0.0
     for name, U in items:
         cos = column_cosines(U)[0]
-        h = np.maximum(0.0, cos[np.triu_indices(U.shape[1], k=1)] - cfg.theta_for(name))
+        h = np.maximum(0.0, cos[upper_pairs(U.shape[1])] - cfg.theta_for(name))
         total += float(np.sum(h * h))
     return cfg.beta * total
 

@@ -112,9 +112,11 @@ class TestTrain:
         assert code == 3
 
     def test_non_finite_objective_is_numeric_error(self, tmp_path):
+        # a finite value whose squared residual overflows: NaN and inf
+        # themselves are rejected at ingestion (exit 3, below)
         d = tmp_path / "data"
         d.mkdir()
-        (d / "A.csv").write_text("patient_id,item_id,value\np0,x,nan\np1,x,1.0\n")
+        (d / "A.csv").write_text("patient_id,item_id,value\np0,x,1e200\np1,x,1.0\n")
         (d / "A.vocab.txt").write_text("x\ny\n")
         (d / "manifest.json").write_text(
             '{"modalities": [{"name": "A", "path": "A.csv", '
@@ -127,6 +129,25 @@ class TestTrain:
                    "--spec", str(tmp_path / "spec.json"),
                    "--out", str(tmp_path / "model"))
         assert code == 4
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_is_ingestion_error(self, tmp_path, value):
+        d = tmp_path / "data"
+        d.mkdir()
+        (d / "A.csv").write_text(f"patient_id,item_id,value\np0,x,{value}\np1,x,1.0\n")
+        (d / "A.vocab.txt").write_text("x\ny\n")
+        (d / "manifest.json").write_text(
+            '{"modalities": [{"name": "A", "path": "A.csv", '
+            '"kind": "gaussian-real", "vocab_path": "A.vocab.txt"}]}')
+        spec = ModelSpec(rank=1,
+                         tensors=[InteractionTensorSpec("t0", ["A"], "gaussian", 1.0)],
+                         init_seed=0, solver=SolverConfig(max_sweeps=2))
+        spec.save(str(tmp_path / "spec.json"))
+        code = run("train", "--manifest", str(d / "manifest.json"),
+                   "--spec", str(tmp_path / "spec.json"),
+                   "--out", str(tmp_path / "model"))
+        assert code == 3
+        assert not os.path.exists(tmp_path / "model")
 
 
 @pytest.fixture()

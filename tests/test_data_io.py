@@ -75,11 +75,38 @@ class TestLoadSave:
         with pytest.raises(IngestionError, match=r"A\.vocab\.txt:4: .*'a'"):
             load_observations(d / "manifest.json")
 
+    @pytest.mark.parametrize("kind", ["poisson-integer", "gaussian-real"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_triplet_value(self, tmp_path, kind, value):
+        d = tmp_path / "data"
+        d.mkdir()
+        (d / "A.csv").write_text(f"patient_id,item_id,value\np0,x,1\np1,x,{value}\n")
+        (d / "A.vocab.txt").write_text("x\n")
+        (d / "manifest.json").write_text(
+            '{"modalities": [{"name": "A", "path": "A.csv", "kind": "%s",'
+            ' "vocab_path": "A.vocab.txt"}]}' % kind)
+        with pytest.raises(IngestionError, match=r"A\.csv: A: non-finite"):
+            load_observations(d / "manifest.json")
+
     def test_labels_round_trip(self, tmp_path):
         ids = [f"p{i}" for i in range(6)]
         labels = np.array([0, 1, 1, 0, 0, 1])
         save_labels(tmp_path / "labels.csv", ids, labels)
         np.testing.assert_array_equal(load_labels(tmp_path / "labels.csv", ids), labels)
+
+
+class TestObservationMatrix:
+    @pytest.mark.parametrize("kind", [("gaussian", "real"), ("poisson", "integer")])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, kind, bad):
+        values = np.ones((3, 2))
+        values[1, 0] = bad
+        with pytest.raises(IngestionError, match="Lab: non-finite"):
+            make_obs("Lab", values, *kind)
+
+    def test_finite_values_accepted(self):
+        values = np.array([[0.0, 1e300], [2.5, 0.0]])
+        assert make_obs("Lab", values, "gaussian", "real").values[0, 1] == 1e300
 
 
 class TestBinarize:

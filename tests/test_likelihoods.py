@@ -5,7 +5,7 @@ import pytest
 
 from margfact import (GaussianParams, ObservationKind, erf, erf_derivative,
                       grad_nll_wrt_reconstruction, nll)
-from margfact.likelihoods import gaussian_binary_prob
+from margfact.likelihoods import EPS, gaussian_binary_prob, nll_cells
 
 from conftest import assert_grad_close, central_difference
 
@@ -70,6 +70,34 @@ class TestPoissonBinary:
 
     def test_finite_at_zero_mean_positive_label(self):
         assert math.isfinite(nll(PB, np.array([[1.0]]), np.array([[0.0]])))
+
+    @staticmethod
+    def dense_cells_and_grad(Vb, Vhat):
+        """The dense formulas, with the log term and V / p on every cell."""
+        v = np.maximum(Vhat, EPS)
+        small = v < 30.0
+        log_expm1 = np.where(small, np.log(np.expm1(np.where(small, v, 1.0))),
+                             v + np.log1p(-np.exp(-v)))
+        p = np.clip(-np.expm1(-v), EPS, 1.0 - EPS)
+        return v - Vb * log_expm1, 1.0 - Vb / p
+
+    @pytest.mark.parametrize("density", [0.0, 1.0, 0.02])
+    def test_observed_cells_only_equal_dense_bit_for_bit(self, density):
+        rng = np.random.default_rng(11)
+        shape = (40, 50)
+        Vhat = np.concatenate([
+            np.zeros(100), np.full(100, EPS), rng.uniform(0.0, 1e-6, 100),
+            rng.uniform(1e-6, 30.0, 1000), np.full(100, 30.0), rng.uniform(30.0, 60.0, 600),
+        ])[rng.permutation(2000)].reshape(shape)
+        Vb = (rng.uniform(size=shape) < density).astype(float)
+        cells, grad = self.dense_cells_and_grad(Vb, Vhat)
+        np.testing.assert_array_equal(nll_cells(PB, Vb, Vhat), cells)
+        np.testing.assert_array_equal(grad_nll_wrt_reconstruction(PB, Vb, Vhat), grad)
+        assert nll(PB, Vb, Vhat) == float(np.sum(cells))
+        # column-major and strided inputs index the same cells
+        np.testing.assert_array_equal(nll_cells(PB, Vb.T, Vhat.T), cells.T)
+        np.testing.assert_array_equal(grad_nll_wrt_reconstruction(PB, Vb[::2], Vhat[::2]),
+                                      grad[::2])
 
     def test_probability_monotone(self):
         vhat = np.linspace(0.0, 10.0, 50)

@@ -69,10 +69,10 @@ class TestRowProjectedStep:
         w, t, x, grad = self.problem()
         cfg = SolverConfig(step0=1.0, max_halvings=12)
 
-        def f_rows(v):
-            return 0.5 * w * np.sum((v - t) ** 2, axis=1)
+        def f_rows(v, rows):
+            return 0.5 * w[rows] * np.sum((v - t[rows]) ** 2, axis=1)
 
-        new, f, accepted = projected_step(x, grad, f_rows, f_rows(x), cfg)
+        new, f, accepted = projected_step(x, grad, f_rows, f_rows(x, np.arange(6)), cfg)
         assert f.shape == accepted.shape == (6,)
         for i in range(6):
             def f_row(v, i=i):
@@ -82,14 +82,58 @@ class TestRowProjectedStep:
             np.testing.assert_array_equal(new[i], row)
             assert f[i] == fi and accepted[i] == ok
         assert list(accepted) == [True] * 5 + [False]
-        assert np.all(f[:3] < f_rows(x)[:3])
+        assert np.all(f[:3] < f_rows(x, np.arange(6))[:3])
+
+    def test_row_calls_see_only_pending_rows(self):
+        w, t, x, grad = self.problem()
+        cfg = SolverConfig(step0=1.0, max_halvings=12)
+        seen = []
+
+        def f_rows(v, rows):
+            seen.append(rows.copy())
+            assert v.shape == (len(rows), 4)
+            return 0.5 * w[rows] * np.sum((v - t[rows]) ** 2, axis=1)
+
+        new, f, accepted = projected_step(x, grad, f_rows, f_rows(x, np.arange(6)), cfg)
+        calls = seen[1:]
+        # rows 3 and 4 are stationary and never evaluated; a row leaves once accepted
+        assert [list(r) for r in calls[:2]] == [[0, 1, 2, 5], [1, 2, 5]]
+        for before, after in zip(calls, calls[1:]):
+            assert set(after) <= set(before)
+        for i in np.flatnonzero(accepted):
+            if i not in (3, 4):
+                last = max(n for n, rows in enumerate(calls) if i in rows)
+                np.testing.assert_array_equal(
+                    new[i], np.maximum(0.0, x[i] - 0.5 ** last * grad[i]))
+        assert all(5 in rows for rows in calls)
+        assert len(calls) == cfg.max_halvings + 1
+
+    def test_length_one_vector_stays_row_form(self):
+        w, t, x, grad = self.problem()
+        cfg = SolverConfig(step0=1.0)
+        calls = []
+
+        def f_rows(v, rows):
+            calls.append((v.shape, list(rows)))
+            return 0.5 * w[0] * np.sum((v - t[0]) ** 2, axis=1)
+
+        def f_row(v):
+            return 0.5 * w[0] * np.sum((v - t[0]) ** 2)
+
+        f0 = np.array([f_row(x[0])])
+        new, f, accepted = projected_step(x[:1], grad[:1], f_rows, f0, cfg)
+        assert f.shape == accepted.shape == (1,)
+        assert calls and all(call == ((1, 4), [0]) for call in calls)
+        row, fi, ok = projected_step(x[0], grad[0], f_row, f_row(x[0]), cfg)
+        np.testing.assert_array_equal(new[0], row)
+        assert f[0] == fi and accepted[0] == ok
 
     def test_zero_step_rows_unchanged_and_accepted(self):
         w, t, x, grad = self.problem()
         cfg = SolverConfig(step0=1.0)
         f0 = 0.5 * w * np.sum((x - t) ** 2, axis=1)
 
-        def never(v):
+        def never(v, rows):
             raise AssertionError("a stationary block needs no evaluation")
 
         rows = [3, 4]

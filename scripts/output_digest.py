@@ -10,7 +10,9 @@ thread before numpy loads. Each line is `<output> <sha256>`:
 - cohort10k: the loss_trace of a 2-sweep fit on the first 9,000 patients
   of seed 0 (the Poisson-binary objective itself), and project_patients
   of the other 1,000 under that model;
-- cv_mixed: five_fold_cv fold AUPRCs and lambdas of seed 1;
+- cv_mixed: the loss_trace of a 30-sweep fit (log_every=1) on the whole
+  of seed 1 (the Gaussian kernels' objective), and five_fold_cv fold
+  AUPRCs and lambdas of seed 1;
 - split: the labels of split_train_test(stratify=True) and the Dx values
   of a plain split of cv_mixed seed 1, for split seeds 0-4;
 - three_way: every block gradient, the objective and two correspondence
@@ -64,6 +66,9 @@ def cohort10k():
 
 def cv_and_split():
     cohort = workloads.generate(workloads.WORKLOADS["cv_mixed"], 1)
+    model = build_model(cohort.spec, cohort.observations)
+    report = train(model, dataclasses.replace(cohort.spec.solver, max_sweeps=30, log_every=1))
+    loss_trace = sha([f for _, f in report.loss_trace])
     result = five_fold_cv(cohort.observations, cohort.labels, cohort.spec, cohort.spec.solver,
                           seed=0)
     cv = sha([[f["auprc"], f["lambda"]] for f in result["folds"]])
@@ -74,7 +79,7 @@ def cv_and_split():
         splits += [y_train, y_test]
         train_obs, test_obs = split_train_test(cohort.observations, seed=seed)
         splits += [train_obs["Dx"].values, test_obs["Dx"].values]
-    return cv, sha(*splits)
+    return loss_trace, cv, sha(*splits)
 
 
 def three_way():
@@ -99,7 +104,8 @@ if __name__ == "__main__":
     loss_trace, projection = cohort10k()
     print(f"cohort10k.loss_trace {loss_trace}")
     print(f"cohort10k.project_patients {projection}", flush=True)
-    cv, split = cv_and_split()
+    loss_trace, cv, split = cv_and_split()
+    print(f"cv_mixed.loss_trace {loss_trace}")
     print(f"cv_mixed.five_fold_cv {cv}")
     print(f"cv_mixed.split_train_test {split}")
     print(f"three_way.gradients_objective_correspondence {three_way()}")

@@ -8,7 +8,9 @@ they stay finite on the non-negative orthant (projected factors can hit
 exact zero). The Poisson-binary log term log(e^vhat - 1) and its gradient
 term V / p are evaluated on the observed (nonzero) cells only: every
 unobserved cell is floor(vhat) (gradient 1) whatever vhat is, exactly as
-the dense formula gives for a finite vhat.
+the dense formula gives for a finite vhat. erf is math.erf cell by cell
+(within 1 ulp), so the Gaussian-binary NLL of an unlikely cell,
+-log(erfc(z)/2), stays accurate out to the probability clamp.
 """
 
 import math
@@ -32,6 +34,7 @@ VALID_KINDS = {
 }
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+_ERF_CELLS = np.frompyfunc(math.erf, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -67,34 +70,15 @@ class GaussianParams:
 
 
 def erf(x):
-    """Error function via its Maclaurin series.
+    """Error function, math.erf cell by cell (within 1 ulp of mpmath on [-7, 7]).
 
-    Terms are accumulated until the next one drops below 1e-15 in
-    magnitude; |x| >= 6 saturates to +-1. Accumulation runs in extended
-    precision because the alternating series loses ~|x| * e^{x^2} * eps
-    of absolute accuracy in float64 near the edge of the grid.
+    Takes any array-like of floats and returns a float array of the same
+    shape, or a float for a 0-d input. erf(+-inf) is +-1 and erf(nan) is
+    nan.
     """
-    x_in = np.asarray(x, dtype=float)
-    scalar = x_in.ndim == 0
-    xa = np.atleast_1d(x_in).astype(np.longdouble)
-    out = np.sign(xa).astype(np.longdouble)
-    active = np.abs(xa) < 6.0
-    if np.any(active):
-        z = xa[active]
-        z2 = z * z
-        term = z.copy()           # (-1)^k z^{2k+1} / k!, k = 0
-        acc = z / 1.0
-        k = 0
-        while True:
-            k += 1
-            term = term * (-z2) / k
-            contrib = term / (2 * k + 1)
-            acc = acc + contrib
-            if np.max(np.abs(contrib)) < 1e-15:
-                break
-        out[active] = np.longdouble(_TWO_OVER_SQRT_PI) * acc
-    out = out.astype(float)
-    return float(out[0]) if scalar else out.reshape(x_in.shape)
+    x = np.asarray(x, dtype=float)
+    out = _ERF_CELLS(x)
+    return float(out) if x.ndim == 0 else out.astype(float)
 
 
 def erf_derivative(x):

@@ -325,8 +325,9 @@ def load_model(model_dir, observations):
     """Rebuild a fitted model from a saved directory plus its observations.
 
     Every saved factor must list the observations' entity ids in their
-    order and have spec.rank columns; a model saved against another
-    manifest raises IngestionError.
+    order and have spec.rank finite, non-negative columns; a model saved
+    against another manifest, or a negative or non-finite entry, raises
+    IngestionError.
     """
     spec = ModelSpec.load(os.path.join(model_dir, "spec.json"))
     model = build_model(spec, observations)
@@ -345,4 +346,6 @@ def _read_factor(path, expected_ids, rank):
                              f"{len(expected_ids)} ids of the observations, in order")
     if U.shape[1] != rank:
         raise IngestionError(f"{path}: rank {U.shape[1]} differs from the spec's rank {rank}")
+    if not np.all(np.isfinite(U)) or np.any(U < 0):
+        raise IngestionError(f"{path}: factor entries must be finite and non-negative")
     return U

@@ -81,9 +81,11 @@ def reconstruct_marginal(shared, modality_factors, target):
     """Marginal reconstruction U^(s) diag(prod_{k != n} e^T U^(k)) U^(n)^T.
 
     Never materializes the full tensor; returns an (I_s, I_target) matrix.
+    The factors are 2-D arrays. Their signs are not checked: the objective
+    calls this on every evaluation, so factors are validated where they
+    enter (build_model draws them non-negative, load_model rejects negative
+    or non-finite entries, and projected steps keep them non-negative).
     """
-    shared = check_factor(shared, "shared")
-    modality_factors = [check_factor(U, f"modality[{k}]") for k, U in enumerate(modality_factors)]
     if not (0 <= target < len(modality_factors)):
         raise ConfigurationError(f"target index {target} out of range")
     _common_rank([shared] + modality_factors)

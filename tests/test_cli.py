@@ -244,6 +244,21 @@ class TestMetrics:
         assert scored
         assert all(v == pytest.approx(2.0) for v in scored)
 
+    @pytest.mark.parametrize("value", ["-0.5", "nan"])
+    def test_bad_factor_entry_is_ingestion_error(self, trained, value):
+        manifest, model_dir, tmp_path = trained
+        path = os.path.join(model_dir, "A.csv")
+        with open(path) as fh:
+            header, first, *rest = fh.read().splitlines()
+        cells = first.split(",")
+        cells[1] = value
+        with open(path, "w") as fh:
+            fh.write("\n".join([header, ",".join(cells), *rest]) + "\n")
+        code = run("metrics", "--manifest", manifest, "--model", model_dir,
+                   "--out", str(tmp_path / "m.json"))
+        assert code == 3
+        assert not os.path.exists(tmp_path / "m.json")
+
     def test_bad_annotation_file_is_ingestion_error(self, trained):
         manifest, model_dir, tmp_path = trained
         ann = tmp_path / "ann.csv"

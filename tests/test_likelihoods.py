@@ -158,6 +158,16 @@ class TestGaussianBinary:
         np.testing.assert_allclose(p + p[::-1], 1.0, atol=1e-12)
         assert np.all(np.diff(p) > 0)
 
+    @pytest.mark.parametrize("z", [3.0, 4.0, 4.5, 4.8])
+    def test_unobserved_tail_matches_erfc(self, z):
+        # sigma2 = 1, t_n = 2 make the erf argument exactly -vhat / 2
+        import mpmath
+        params = GaussianParams(sigma2=1.0, t_n=2)
+        got = nll_cells(GB, np.array([[0.0]]), np.array([[2.0 * z]]), params)[0, 0]
+        with mpmath.workdps(50):
+            expected = float(-mpmath.log(mpmath.erfc(z) / 2))
+        assert got == pytest.approx(expected, rel=1e-6)
+
     def test_monte_carlo_law(self):
         rng = np.random.default_rng(21)
         params = GaussianParams(sigma2=0.5, t_n=4)
@@ -193,6 +203,32 @@ class TestErf:
     def test_vectorized_matches_scalar(self):
         xs = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
         np.testing.assert_allclose(erf(xs), [erf(float(x)) for x in xs], atol=1e-15)
+
+    def test_within_one_ulp_of_mpmath(self):
+        import mpmath
+        xs = np.arange(-7000, 7001) * 1e-3
+        with mpmath.workdps(50):
+            refs = [float(mpmath.erf(float(x))) for x in xs]
+        for x, value, ref in zip(xs, erf(xs), refs):
+            assert abs(value - ref) <= math.ulp(ref), x
+
+    def test_infinities_and_nan(self):
+        assert erf(math.inf) == 1.0
+        assert erf(-math.inf) == -1.0
+        assert math.isnan(erf(math.nan))
+        out = erf(np.array([-np.inf, np.nan, np.inf]))
+        assert out[0] == -1.0 and math.isnan(out[1]) and out[2] == 1.0
+
+    def test_zero_d_input_returns_float(self):
+        for x in (0.5, np.float64(0.5), np.array(0.5)):
+            assert type(erf(x)) is float
+
+    def test_shape_kept(self):
+        xs = np.linspace(-3, 3, 12).reshape(3, 4)
+        for x in (xs, xs.T, np.empty((0, 4))):
+            out = erf(x)
+            assert out.shape == x.shape and out.dtype == np.float64
+            np.testing.assert_array_equal(out.ravel(), [math.erf(v) for v in x.ravel()])
 
 
 class TestErfDerivative:

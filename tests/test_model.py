@@ -302,6 +302,18 @@ class TestPersistence:
         with pytest.raises(IngestionError, match="rank"):
             load_model(tmp_path / "model", obs)
 
+    @pytest.mark.parametrize("value", ["-0.5", "nan", "inf"])
+    def test_load_rejects_negative_or_non_finite_factor(self, tmp_path, value):
+        model = poisson_pair_model(seed=8, n_patients=6, max_sweeps=2)
+        save_model(model, tmp_path / "model")
+        path = tmp_path / "model" / "B.csv"
+        header, first, *rest = path.read_text().splitlines()
+        cells = first.split(",")
+        cells[1] = value
+        path.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+        with pytest.raises(IngestionError, match="B.csv"):
+            load_model(tmp_path / "model", model.observations)
+
     def test_spec_json_round_trip(self, tmp_path):
         model = small_mixed_model()
         path = tmp_path / "spec.json"

@@ -41,8 +41,7 @@ model = build_model(spec, observations)
 print(f"\ninitial objective: {objective(model):.1f}")
 
 report = train(model)
-status = "converged" if report.converged else "budget exhausted"
-print(f"after {report.sweeps_run} sweeps ({status}):")
+print(f"after {report.sweeps_run} sweeps ({report.stop_reason}):")
 for sweep, f in report.loss_trace:
     print(f"  sweep {sweep:4d}  objective {f:.1f}")
 

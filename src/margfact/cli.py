@@ -98,9 +98,8 @@ def cmd_train(args):
     model = build_model(spec, observations)
     report = train(model, spec.solver)
     save_model(model, args.out)
-    status = "converged" if report.converged else "budget exhausted"
     print(f"trained {len(model.factors)} modality factors + shared in "
-          f"{report.sweeps_run} sweeps ({status}); model saved to {args.out}")
+          f"{report.sweeps_run} sweeps ({report.stop_reason}); model saved to {args.out}")
     return 0
 
 

@@ -42,7 +42,7 @@ class InteractionTensorSpec:
 class SolverConfig:
     max_sweeps: int = 5000
     tol: float = 1e-6
-    step0: float = 1e-2
+    step0: float = 1e-2  # the first step only: later searches start where the last one ended
     backtrack: float = 0.5
     max_halvings: int = 30
     armijo_c: float = 1e-4
@@ -217,21 +217,26 @@ def gradient_block(model, block):
     return grad
 
 
-def projected_step(values, grad, eval_objective, f_current, cfg):
+def projected_step(values, grad, eval_objective, f_current, cfg, eta=None):
     """One backtracked projected gradient step, on a block or on its rows.
 
-    Candidate = max(0, values - eta * grad); eta starts at cfg.step0 and is
-    multiplied by cfg.backtrack until the projected-direction Armijo
-    condition holds or the halving budget is spent, and then the values
-    stay unchanged. A scalar f_current makes the whole block one problem,
-    and eval_objective(candidate) returns its objective. A vector
-    f_current of length n (length 1 included) makes row i of the block an
-    independent problem with its own step size: each halving calls
-    eval_objective(trial_rows, rows) with the trial values of the rows
-    still searching and their indices, and it returns one value per row,
-    each depending on that row alone. A zero projected step is stationary: accepted, unchanged. Returns
-    (new_values, new_objective, accepted), the last two shaped like
-    f_current.
+    Candidate = max(0, values - eta * grad); eta starts at the given step
+    (cfg.step0 when None) and is multiplied by cfg.backtrack until the
+    projected-direction Armijo condition holds or the halving budget is
+    spent, and then the values stay unchanged. A scalar f_current makes the
+    whole block one problem, and eval_objective(candidate) returns its
+    objective. A vector f_current of length n (length 1 included) makes row
+    i of the block an independent problem with its own step size (eta may
+    then be a vector of n steps): each halving calls
+    eval_objective(trial_rows, rows) with the trial values of the rows still
+    searching and their indices, and it returns one value per row, each
+    depending on that row alone. A zero projected step is stationary:
+    accepted, unchanged, with no evaluation. Returns (new_values,
+    new_objective, accepted, next_eta), the last three shaped like
+    f_current. next_eta is where the next search should start (Lin 2007):
+    the accepted step / cfg.backtrack, so the step can grow; the smallest
+    step tried after a rejected search, so it keeps shrinking; and the given
+    step for a stationary block or row.
     """
     by_row = np.ndim(f_current) != 0
     f = np.array(f_current, dtype=float).reshape(-1)
@@ -239,9 +244,11 @@ def projected_step(values, grad, eval_objective, f_current, cfg):
     step = grad.reshape(f.size, -1)
     out = rows.copy()
     pending = np.ones(f.size, dtype=bool)
-    eta = cfg.step0  # every pending row has halved its step the same number of times
+    # every pending row has halved its step the same number of times
+    eta = np.array(np.broadcast_to(cfg.step0 if eta is None else eta, f.shape), dtype=float)
+    next_eta = eta.copy()
     for _ in range(cfg.max_halvings + 1):
-        trial = np.maximum(0.0, rows - eta * step)
+        trial = np.maximum(0.0, rows - eta[:, None] * step)
         dist2 = np.add.reduce((trial - rows) ** 2, axis=1)
         pending &= dist2 != 0.0
         if not pending.any():
@@ -257,18 +264,21 @@ def projected_step(values, grad, eval_objective, f_current, cfg):
             out[ok] = trial[ok]
             f = np.where(ok, f_trial, f)
             pending &= ~ok
+            next_eta[ok] = eta[ok] / cfg.backtrack
+        next_eta[pending] = eta[pending]
         eta *= cfg.backtrack
     if not by_row:  # plain float and bool, as the JSON step log needs
-        return out.reshape(values.shape), float(f[0]), not pending[0]
-    return out.reshape(values.shape), f, ~pending
+        return out.reshape(values.shape), float(f[0]), not pending[0], float(next_eta[0])
+    return out.reshape(values.shape), f, ~pending, next_eta
 
 
 def project_patients(model, new_obs, cfg=None):
     """Representation of new patients under frozen modality factors.
 
     Solves the shared-row NLL minimization per row with projected gradient
-    and per-row backtracking; rows are fully independent subproblems.
-    Cold start at the column means of the trained shared factor.
+    and per-row backtracking; rows are fully independent subproblems, and
+    each row's search starts from the step its last search left (cfg.step0
+    at first). Cold start at the column means of the trained shared factor.
     """
     cfg = cfg or model.spec.solver
     for tensor in model.spec.tensors:
@@ -294,13 +304,14 @@ def project_patients(model, new_obs, cfg=None):
 
     f = row_objective(S, np.arange(n_new))
     active = np.ones(n_new, dtype=bool)  # rows converge independently
+    eta = np.full(n_new, cfg.step0)
     for _ in range(cfg.max_sweeps):
         if not active.any():
             break
         frozen.shared = S
         g = gradient_block(frozen, SHARED)
         g[~active] = 0.0  # a zero step leaves a converged row as it is
-        S_new, f_new, _ = projected_step(S, g, row_objective, f, cfg)
+        S_new, f_new, _, eta = projected_step(S, g, row_objective, f, cfg, eta)
         rel = np.abs(f - f_new) / np.maximum(1.0, np.abs(f))
         S, f = S_new, f_new
         active &= rel >= cfg.tol

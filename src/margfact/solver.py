@@ -3,7 +3,17 @@
 Each sweep updates the shared block first, then every modality block in
 declaration order. A step is a non-negative projection of a gradient
 step, with Armijo backtracking on the step size so accepted sweeps never
-increase the objective.
+increase the objective. Each block keeps its own step size: its first
+search starts at cfg.step0 and every later one where the last left off
+(see model.projected_step), so a block whose gradient is huge near the
+bound is not re-searched from step0 every sweep.
+
+A fit stops when a sweep lowers the objective by less than tol
+(relative), or after cfg.max_sweeps sweeps. The stop reason is
+`converged` when every block accepted its step in that last sweep,
+`stalled` when some block's search was rejected (a sweep in which every
+block rejected is the extreme case: the objective does not move at all),
+and `budget` when the sweeps ran out.
 """
 
 import time
@@ -19,20 +29,27 @@ from .model import SHARED, gradient_block, objective, projected_step
 class TrainReport:
     loss_trace: list = field(default_factory=list)  # (sweep, objective)
     converged: bool = False
+    stop_reason: str = "budget"  # "converged" | "stalled" | "budget"
     sweeps_run: int = 0
     wall_time: float = 0.0
-    step_log: list = field(default_factory=list)  # {sweep, objective, step_accepted_per_block}
+    # {sweep, objective, step_accepted_per_block, step_size_per_block}
+    step_log: list = field(default_factory=list)
 
     def to_dict(self):
         # wall_time deliberately omitted: persisted model directories must be
         # byte-identical across reruns with the same seed
         return {"loss_trace": [[s, f] for s, f in self.loss_trace],
-                "converged": self.converged, "sweeps_run": self.sweeps_run,
-                "steps": self.step_log}
+                "converged": self.converged, "stop_reason": self.stop_reason,
+                "sweeps_run": self.sweeps_run, "steps": self.step_log}
 
 
 def train(model, cfg=None):
-    """Run BCD sweeps until the relative objective decrease falls below tol."""
+    """Run BCD sweeps until converged, stalled or out of budget.
+
+    Every block carries its step size from one sweep to the next; the
+    step log records, per logged sweep, whether each block accepted its
+    step and the step its next search starts from.
+    """
     cfg = cfg or model.spec.solver
     start = time.perf_counter()
     f = objective(model)
@@ -42,6 +59,7 @@ def train(model, cfg=None):
     report = TrainReport()
     report.loss_trace.append((0, f))
     blocks = [SHARED] + model.spec.modality_order
+    steps = dict.fromkeys(blocks, cfg.step0)
 
     def set_block(name, values):
         if name == SHARED:
@@ -52,7 +70,7 @@ def train(model, cfg=None):
     def get_block(name):
         return model.shared if name == SHARED else model.factors[name]
 
-    converged = False
+    stop_reason = "budget"
     sweep = 0
     for sweep in range(1, cfg.max_sweeps + 1):
         f_prev = f
@@ -68,25 +86,23 @@ def train(model, cfg=None):
                 finally:
                     set_block(_name, old)
 
-            new_values, f, accepted = projected_step(get_block(name), grad,
-                                                     eval_objective, f, cfg)
+            new_values, f, accepted, steps[name] = projected_step(
+                get_block(name), grad, eval_objective, f, cfg, steps[name])
             set_block(name, new_values)
             accepted_flags[name] = accepted
 
-        if sweep % cfg.log_every == 0 or sweep == cfg.max_sweeps:
+        if abs(f_prev - f) / max(1.0, abs(f_prev)) < cfg.tol:
+            stop_reason = "converged" if all(accepted_flags.values()) else "stalled"
+        if sweep % cfg.log_every == 0 or sweep == cfg.max_sweeps or stop_reason != "budget":
             report.loss_trace.append((sweep, f))
             report.step_log.append({"sweep": sweep, "objective": f,
-                                    "step_accepted_per_block": accepted_flags})
-        rel = abs(f_prev - f) / max(1.0, abs(f_prev))
-        if rel < cfg.tol:
-            converged = True
-            if report.loss_trace[-1][0] != sweep:
-                report.loss_trace.append((sweep, f))
-                report.step_log.append({"sweep": sweep, "objective": f,
-                                        "step_accepted_per_block": accepted_flags})
+                                    "step_accepted_per_block": accepted_flags,
+                                    "step_size_per_block": dict(steps)})
+        if stop_reason != "budget":
             break
 
-    report.converged = converged
+    report.converged = stop_reason == "converged"
+    report.stop_reason = stop_reason
     report.sweeps_run = sweep if cfg.max_sweeps > 0 else 0
     report.wall_time = time.perf_counter() - start
     model.trace = report

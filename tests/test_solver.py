@@ -5,7 +5,8 @@ import pytest
 
 from margfact import (InteractionTensorSpec, ModelSpec, RegularizerConfig,
                       SolverConfig, build_model, nll, objective,
-                      projected_step, reconstruct_marginal, train)
+                      projected_step, reconstruct_marginal, solver,
+                      synth_generate, train)
 from margfact.likelihoods import ObservationKind
 
 from helpers import make_obs, poisson_pair_model
@@ -15,7 +16,7 @@ class TestProjectedStep:
     def test_zero_gradient_unchanged(self):
         U = np.array([[1.0, 2.0], [3.0, 4.0]])
         cfg = SolverConfig()
-        new, f, accepted = projected_step(U, np.zeros_like(U), lambda x: 0.0, 0.0, cfg)
+        new, f, accepted, _ = projected_step(U, np.zeros_like(U), lambda x: 0.0, 0.0, cfg)
         assert accepted
         np.testing.assert_array_equal(new, U)
 
@@ -27,7 +28,7 @@ class TestProjectedStep:
         def f(candidate):
             return float(np.sum(candidate ** 2))
 
-        new, fv, accepted = projected_step(U, grad, f, f(U), cfg)
+        new, fv, accepted, _ = projected_step(U, grad, f, f(U), cfg)
         assert accepted
         np.testing.assert_array_equal(new, np.zeros((2, 2)))
 
@@ -42,7 +43,7 @@ class TestProjectedStep:
         grad = u0 - target  # [[-1, 1.5]]
         cfg = SolverConfig(step0=0.5)
         expected = np.maximum(0.0, u0 - 0.5 * grad)  # [[0.5, 0.0]] by hand
-        new, fv, accepted = projected_step(u0, grad, f, f(u0), cfg)
+        new, fv, accepted, _ = projected_step(u0, grad, f, f(u0), cfg)
         assert accepted
         np.testing.assert_allclose(new, expected)
         assert fv < f(u0)
@@ -72,13 +73,13 @@ class TestRowProjectedStep:
         def f_rows(v, rows):
             return 0.5 * w[rows] * np.sum((v - t[rows]) ** 2, axis=1)
 
-        new, f, accepted = projected_step(x, grad, f_rows, f_rows(x, np.arange(6)), cfg)
+        new, f, accepted, _ = projected_step(x, grad, f_rows, f_rows(x, np.arange(6)), cfg)
         assert f.shape == accepted.shape == (6,)
         for i in range(6):
             def f_row(v, i=i):
                 return 0.5 * w[i] * np.sum((v - t[i]) ** 2)
 
-            row, fi, ok = projected_step(x[i], grad[i], f_row, f_row(x[i]), cfg)
+            row, fi, ok, _ = projected_step(x[i], grad[i], f_row, f_row(x[i]), cfg)
             np.testing.assert_array_equal(new[i], row)
             assert f[i] == fi and accepted[i] == ok
         assert list(accepted) == [True] * 5 + [False]
@@ -94,7 +95,7 @@ class TestRowProjectedStep:
             assert v.shape == (len(rows), 4)
             return 0.5 * w[rows] * np.sum((v - t[rows]) ** 2, axis=1)
 
-        new, f, accepted = projected_step(x, grad, f_rows, f_rows(x, np.arange(6)), cfg)
+        new, f, accepted, _ = projected_step(x, grad, f_rows, f_rows(x, np.arange(6)), cfg)
         calls = seen[1:]
         # rows 3 and 4 are stationary and never evaluated; a row leaves once accepted
         assert [list(r) for r in calls[:2]] == [[0, 1, 2, 5], [1, 2, 5]]
@@ -121,10 +122,10 @@ class TestRowProjectedStep:
             return 0.5 * w[0] * np.sum((v - t[0]) ** 2)
 
         f0 = np.array([f_row(x[0])])
-        new, f, accepted = projected_step(x[:1], grad[:1], f_rows, f0, cfg)
+        new, f, accepted, _ = projected_step(x[:1], grad[:1], f_rows, f0, cfg)
         assert f.shape == accepted.shape == (1,)
         assert calls and all(call == ((1, 4), [0]) for call in calls)
-        row, fi, ok = projected_step(x[0], grad[0], f_row, f_row(x[0]), cfg)
+        row, fi, ok, _ = projected_step(x[0], grad[0], f_row, f_row(x[0]), cfg)
         np.testing.assert_array_equal(new[0], row)
         assert f[0] == fi and accepted[0] == ok
 
@@ -137,7 +138,7 @@ class TestRowProjectedStep:
             raise AssertionError("a stationary block needs no evaluation")
 
         rows = [3, 4]
-        new, f, accepted = projected_step(x[rows], grad[rows], never, f0[rows], cfg)
+        new, f, accepted, _ = projected_step(x[rows], grad[rows], never, f0[rows], cfg)
         np.testing.assert_array_equal(new, x[rows])
         np.testing.assert_array_equal(f, f0[rows])
         assert accepted.all()
@@ -149,9 +150,174 @@ class TestRowProjectedStep:
             return float(0.5 * np.sum(w[:, None] * (v - t) ** 2))
 
         for g in (grad, np.zeros_like(grad)):
-            _, f, accepted = projected_step(x, g, f_all, f_all(x), SolverConfig(step0=1e-3))
+            _, f, accepted, _ = projected_step(x, g, f_all, f_all(x), SolverConfig(step0=1e-3))
             assert json.loads(json.dumps([f, accepted])) == [f, accepted]
             assert type(f) is float and type(accepted) is bool
+
+
+
+class TestStepMemory:
+    """projected_step returns where the next search should start."""
+
+    def test_accepted_step_grows(self):
+        target = np.array([[1.0, 2.0]])
+        u0 = np.array([[0.5, 0.5]])
+
+        def f(u):
+            return float(0.5 * np.sum((u - target) ** 2))
+
+        cfg = SolverConfig(step0=0.5)
+        new, fv, accepted, nxt = projected_step(u0, u0 - target, f, f(u0), cfg)
+        assert accepted and fv < f(u0)
+        assert type(nxt) is float and nxt == 0.5 / cfg.backtrack
+        # a search started from the returned step tries that step first
+        tried = []
+
+        def g(u):
+            tried.append(u.copy())
+            return f(u)
+
+        projected_step(new, new - target, g, fv, cfg, nxt)
+        np.testing.assert_array_equal(tried[0], np.maximum(0.0, new - nxt * (new - target)))
+
+    def test_rejected_search_returns_smallest_step_tried(self):
+        u0 = np.array([[1.0, 2.0]])
+        cfg = SolverConfig(max_halvings=3)
+
+        def f(u):  # the negative gradient points uphill: every trial fails
+            return float(np.sum(u))
+
+        new, fv, accepted, nxt = projected_step(u0, -np.ones_like(u0), f, f(u0), cfg, 0.8)
+        assert not accepted and fv == f(u0)
+        np.testing.assert_array_equal(new, u0)
+        assert nxt == 0.8 * cfg.backtrack ** cfg.max_halvings
+
+    def test_stationary_keeps_given_step(self):
+        U = np.array([[0.0, 2.0]])
+        grad = np.array([[3.0, 0.0]])  # at the bound and pushed out, or flat
+
+        def never(u):
+            raise AssertionError("a stationary block needs no evaluation")
+
+        new, fv, accepted, nxt = projected_step(U, grad, never, 1.5, SolverConfig(), 7.0)
+        assert accepted and fv == 1.5 and nxt == 7.0
+        np.testing.assert_array_equal(new, U)
+        assert projected_step(U, grad, never, 1.5, SolverConfig())[3] == SolverConfig().step0
+
+    def test_rows_carry_their_own_steps(self):
+        w, t, x, grad = TestRowProjectedStep.problem()
+        cfg = SolverConfig(step0=1.0, max_halvings=12)
+        eta = np.array([1.0, 0.25, 0.01, 2.0, 4.0, 3.0])
+
+        def f_rows(v, rows):
+            return 0.5 * w[rows] * np.sum((v - t[rows]) ** 2, axis=1)
+
+        new, f, accepted, nxt = projected_step(x, grad, f_rows, f_rows(x, np.arange(6)),
+                                               cfg, eta)
+        assert nxt.shape == (6,)
+        for i in range(6):
+            def f_row(v, i=i):
+                return 0.5 * w[i] * np.sum((v - t[i]) ** 2)
+
+            row, fi, ok, step = projected_step(x[i], grad[i], f_row, f_row(x[i]), cfg, eta[i])
+            np.testing.assert_array_equal(new[i], row)
+            assert f[i] == fi and accepted[i] == ok and nxt[i] == step
+        # rows 0-2 grew from the step they accepted, 3 and 4 are stationary
+        # and keep theirs, and row 5 ends at the smallest step it tried
+        for i in range(3):
+            k = np.log2(eta[i] / (nxt[i] * cfg.backtrack))
+            assert k == round(k) >= 0
+            np.testing.assert_array_equal(new[i], np.maximum(0.0, x[i] - nxt[i] * cfg.backtrack
+                                                             * grad[i]))
+        assert nxt[3] == eta[3] and nxt[4] == eta[4]
+        assert not accepted[5] and nxt[5] == eta[5] * cfg.backtrack ** cfg.max_halvings
+
+    def test_idle_block_step_stays_finite_without_evaluations(self):
+        U = np.array([[0.0, 1.0], [2.0, 0.0]])
+        grad = np.array([[1.0, 0.0], [0.0, 5.0]])
+        cfg = SolverConfig()
+        calls = []
+
+        def count(*args):
+            calls.append(args)
+            return 0.0
+
+        step, steps = cfg.step0, np.full(2, cfg.step0)
+        for _ in range(2000):
+            U, _, accepted, step = projected_step(U, grad, count, 0.0, cfg, step)
+            assert accepted
+            U, _, _, steps = projected_step(U, grad, count, np.zeros(2), cfg, steps)
+        assert calls == []
+        assert step == cfg.step0 and np.all(steps == cfg.step0)
+
+
+class TestStopReason:
+    def test_every_block_keeps_accepting_at_criterion_5_scale(self):
+        # At a fixed first step, the shared block and M0 of this fit froze
+        # after sweep 1: their gradients near the bound need steps far below
+        # step0 * backtrack ** max_halvings.
+        spec = ModelSpec(
+            rank=5,
+            tensors=[InteractionTensorSpec("t0", ["M0", "M1"], "poisson"),
+                     InteractionTensorSpec("t1", ["M0", "M2"], "poisson")],
+            init_seed=0,
+            solver=SolverConfig(max_sweeps=60, tol=1e-6, step0=1e-4, log_every=1))
+        obs, _ = synth_generate(spec, {"M0": 30, "M1": 30, "M2": 30},
+                                {m: "integer" for m in ("M0", "M1", "M2")}, 500, seed=0)
+        report = train(build_model(spec, obs))
+        assert report.stop_reason == "budget" and report.sweeps_run == 60
+        later = [e for e in report.step_log if e["sweep"] >= 2]
+        assert len(later) == 59
+        for block in later[0]["step_accepted_per_block"]:
+            accepts = sum(e["step_accepted_per_block"][block] for e in later)
+            assert accepts >= 0.9 * len(later), (block, accepts)
+
+    def test_no_block_moving_is_stalled(self):
+        model = poisson_pair_model(seed=1)
+        f0 = objective(model)
+        report = train(model, SolverConfig(step0=1e6, max_halvings=0, log_every=5))
+        assert report.stop_reason == "stalled" and not report.converged
+        assert report.sweeps_run == 1
+        assert report.loss_trace == [(0, f0), (1, f0)]
+        entry = report.step_log[-1]
+        assert not any(entry["step_accepted_per_block"].values())
+        assert set(entry["step_size_per_block"].values()) == {1e6}
+
+    def test_flat_objective_with_a_frozen_block_is_stalled(self, monkeypatch):
+        model = poisson_pair_model(seed=1)
+        frozen = model.shared.copy()
+
+        def shared_always_rejects(values, grad, eval_objective, f, cfg, eta):
+            if values is model.shared:
+                return values.copy(), f, False, eta * cfg.backtrack
+            return projected_step(values, grad, eval_objective, f, cfg, eta)
+
+        monkeypatch.setattr(solver, "projected_step", shared_always_rejects)
+        report = train(model, SolverConfig(max_sweeps=5000, tol=1e-6))
+        assert report.stop_reason == "stalled" and not report.converged
+        assert report.sweeps_run > 1
+        assert report.step_log[-1]["step_accepted_per_block"] == {
+            "__shared__": False, "A": True, "B": True}
+        np.testing.assert_array_equal(model.shared, frozen)
+
+    def test_sweep_budget(self):
+        model = poisson_pair_model(seed=1)
+        report = train(model, SolverConfig(max_sweeps=3, tol=1e-16, log_every=1))
+        assert report.stop_reason == "budget" and not report.converged
+        assert report.sweeps_run == 3 and [s for s, _ in report.loss_trace] == [0, 1, 2, 3]
+
+    def test_trace_records_stop_reason_and_step_sizes(self):
+        model = poisson_pair_model(seed=4)
+        cfg = SolverConfig(max_sweeps=5000, tol=1e-6, step0=1e-3, log_every=7)
+        report = train(model, cfg)
+        d = json.loads(json.dumps(report.to_dict()))
+        assert d["stop_reason"] == report.stop_reason == "converged" and d["converged"]
+        first = report.step_log[0]
+        assert list(first["step_size_per_block"]) == ["__shared__", "A", "B"]
+        for entry in d["steps"]:
+            assert all(type(v) is float and 0.0 < v < np.inf
+                       for v in entry["step_size_per_block"].values())
+        assert d["steps"][-1]["sweep"] == report.sweeps_run
 
 
 class TestTrain:
@@ -214,7 +380,7 @@ class TestTrain:
 
     def test_loss_flattens(self):
         model = poisson_pair_model(seed=5)
-        report = train(model, SolverConfig(max_sweeps=64, tol=1e-14, log_every=1))
+        report = train(model, SolverConfig(max_sweeps=64, tol=1e-16, log_every=1))
         values = dict(report.loss_trace)
         for k in (1, 2, 4, 8, 16, 32):
             assert values[2 * k] <= values[k]

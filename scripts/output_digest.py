@@ -9,7 +9,9 @@ thread before numpy loads. Each line is `<output> <sha256>`:
 - fit500: the loss_trace of seeds 0-5 over 60 sweeps (log_every=1);
 - cohort10k: the loss_trace of a 2-sweep fit on the first 9,000 patients
   of seed 0 (the Poisson-binary objective itself), and project_patients
-  of the other 1,000 under that model;
+  of the other 1,000 under that model; and, after a 1-sweep fit, the
+  objective, every block gradient and the per-row NLL of the 1,000 held-out
+  rows at their projection (the kernels of the sparse Poisson terms);
 - cv_mixed: the loss_trace of a 30-sweep fit (log_every=1) on the whole
   of seed 1 (the Gaussian kernels' objective), and five_fold_cv fold
   AUPRCs and lambdas of seed 1;
@@ -38,7 +40,7 @@ from margfact import (InteractionTensorSpec, ModelSpec, SolverConfig,  # noqa: E
                       gradient_block, objective, project_patients,
                       split_train_test, synth_generate, train)
 from margfact.data_io import _take_patients  # noqa: E402
-from margfact.model import SHARED  # noqa: E402
+from margfact.model import SHARED, Model  # noqa: E402
 
 
 def sha(*parts):
@@ -61,7 +63,17 @@ def cohort10k():
     test_obs = _take_patients(cohort.observations, list(range(9000, 10000)))
     model = build_model(cohort.spec, fit_obs)
     report = train(model, dataclasses.replace(cohort.spec.solver, max_sweeps=2))
-    return sha([f for _, f in report.loss_trace]), sha(project_patients(model, test_obs))
+    loss_trace = sha([f for _, f in report.loss_trace])
+    projection = sha(project_patients(model, test_obs))
+
+    model = build_model(cohort.spec, fit_obs)
+    train(model, dataclasses.replace(cohort.spec.solver, max_sweeps=1))
+    grads = [gradient_block(model, b) for b in [SHARED] + cohort.spec.modality_order]
+    S = project_patients(model, test_obs)
+    rows = np.arange(S.shape[0])
+    row_nll = sum(term.nll(S, model.factors, rows)
+                  for term in Model(cohort.spec, test_obs, S, model.factors).compiled_terms())
+    return loss_trace, projection, sha([objective(model)], *grads, row_nll)
 
 
 def cv_and_split():
@@ -101,9 +113,10 @@ def three_way():
 if __name__ == "__main__":
     for seed in range(6):
         print(f"fit500.seed{seed}.loss_trace {fit500(seed)}", flush=True)
-    loss_trace, projection = cohort10k()
+    loss_trace, projection, kernels = cohort10k()
     print(f"cohort10k.loss_trace {loss_trace}")
-    print(f"cohort10k.project_patients {projection}", flush=True)
+    print(f"cohort10k.project_patients {projection}")
+    print(f"cohort10k.sparse_kernels {kernels}", flush=True)
     loss_trace, cv, split = cv_and_split()
     print(f"cv_mixed.loss_trace {loss_trace}")
     print(f"cv_mixed.five_fold_cv {cv}")

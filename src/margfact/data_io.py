@@ -6,6 +6,7 @@ patient-by-item arrays with ordered id lists.
 """
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -64,7 +65,8 @@ def _read_vocab(path):
 
 
 def _read_triplets(path):
-    triplets = []
+    """Columns (patient ids, item ids, values) of a triplet CSV; triplet i is on line i + 2."""
+    pids, items, values = [], [], []
     with open(path, encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -77,8 +79,42 @@ def _read_triplets(path):
                 value = float(row[2])
             except ValueError as exc:
                 raise IngestionError(f"{path}:{lineno}: bad value {row[2]!r}") from exc
-            triplets.append((row[0], row[1], value, lineno))
-    return triplets
+            pids.append(row[0])
+            items.append(row[1])
+            values.append(value)
+    return pids, items, np.array(values, dtype=float)
+
+
+def _indices(ids, index):
+    """Position of each id in `index` (a dict), -1 for an id it lacks."""
+    return np.fromiter(map(index.get, ids, itertools.repeat(-1)), dtype=np.intp, count=len(ids))
+
+
+def _fill(path, triplets, pidx, n_rows, vocab):
+    """(n_rows, len(vocab)) array of the triplets' values at (pidx row, vocab
+    column); every patient and item must be known and every (patient, item)
+    pair unique. An error names the line of the first offending triplet in
+    file order."""
+    pids, items, values = triplets
+    rows = _indices(pids, pidx)
+    cols = _indices(items, {it: j for j, it in enumerate(vocab)})
+    known = (rows >= 0) & (cols >= 0)
+    key = np.where(known, rows * len(vocab) + cols, -1)  # -1: bad whether repeated or not
+    order = np.argsort(key, kind="stable")  # a repeated key's later lines follow its first
+    sorted_key = key[order]
+    repeated = np.zeros(key.size, dtype=bool)
+    repeated[order[1:]] = sorted_key[1:] == sorted_key[:-1]
+    bad = ~known | repeated
+    if bad.any():
+        i = int(np.argmax(bad))
+        if rows[i] < 0:
+            raise IngestionError(f"{path}:{i + 2}: unknown patient id {pids[i]!r}")
+        if cols[i] < 0:
+            raise IngestionError(f"{path}:{i + 2}: item {items[i]!r} not in vocabulary")
+        raise IngestionError(f"{path}:{i + 2}: duplicate triplet for {(pids[i], items[i])}")
+    out = np.zeros((n_rows, len(vocab)))
+    out[rows, cols] = values
+    return out
 
 
 def load_observations(manifest_path):
@@ -97,7 +133,7 @@ def load_observations(manifest_path):
         vocab = _read_vocab(os.path.join(base, entry["vocab_path"]))
         triplets = _read_triplets(path)
         raw[name] = (kind, vocab, triplets, path)
-        patient_set.update(t[0] for t in triplets)
+        patient_set.update(triplets[0])
 
     # union of patients across modalities, zero-filled where absent
     shared_ids = manifest.get("patients") or sorted(patient_set)
@@ -105,19 +141,7 @@ def load_observations(manifest_path):
 
     observations = {}
     for name, (kind, vocab, triplets, path) in raw.items():
-        iidx = {it: j for j, it in enumerate(vocab)}
-        values = np.zeros((len(shared_ids), len(vocab)))
-        seen = set()
-        for pid, item, value, lineno in triplets:
-            if pid not in pidx:
-                raise IngestionError(f"{path}:{lineno}: unknown patient id {pid!r}")
-            if item not in iidx:
-                raise IngestionError(f"{path}:{lineno}: item {item!r} not in vocabulary")
-            key = (pid, item)
-            if key in seen:
-                raise IngestionError(f"{path}:{lineno}: duplicate triplet for {key}")
-            seen.add(key)
-            values[pidx[pid], iidx[item]] = value
+        values = _fill(path, triplets, pidx, len(shared_ids), vocab)
         try:
             observations[name] = ObservationMatrix(name, list(shared_ids), vocab, kind, values)
         except IngestionError as exc:

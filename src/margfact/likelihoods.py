@@ -5,12 +5,15 @@ binary, Gaussian reals, and Gaussian-quantized binary. Each kernel is an
 elementwise cell function summed over the matrix, with an analytic
 gradient with respect to the reconstruction. All kernels are guarded so
 they stay finite on the non-negative orthant (projected factors can hit
-exact zero). The Poisson-binary log term log(e^vhat - 1) and its gradient
-term V / p are evaluated on the observed (nonzero) cells only: every
-unobserved cell is floor(vhat) (gradient 1) whatever vhat is, exactly as
-the dense formula gives for a finite vhat. erf is math.erf cell by cell
-(within 1 ulp), so the Gaussian-binary NLL of an unlikely cell,
--log(erfc(z)/2), stays accurate out to the probability clamp.
+exact zero). erf is math.erf cell by cell (within 1 ulp), so the
+Gaussian-binary NLL of an unlikely cell, -log(erfc(z)/2), stays accurate
+out to the probability clamp.
+
+A Poisson cell NLL is vhat (floored at EPS for the binary kind) minus
+poisson_log_term, and its gradient is 1 - poisson_weight. Both helpers are
+0 where V is 0, so a sparse Poisson term is evaluated on its observed
+(nonzero) cells alone, with sum(vhat) in closed form (model.Term); the
+dense Poisson-binary kernels, too, apply them on the observed cells only.
 """
 
 import math
@@ -105,15 +108,35 @@ def _log_expm1(v):
     return out
 
 
+def poisson_log_term(datatype, V, Vhat):
+    """V log(vhat) (integer) or V log(e^vhat - 1) (binary), vhat floored at EPS.
+
+    The part of a Poisson cell NLL that is 0 where V is 0.
+    """
+    if datatype == INTEGER:
+        return V * np.log(_floor(Vhat))
+    return V * _log_expm1(Vhat)
+
+
+def poisson_weight(datatype, V, Vhat):
+    """V / vhat (integer) or V / p with p = 1 - e^-vhat (binary), vhat floored at EPS.
+
+    A Poisson cell's d NLL / d vhat is 1 minus this, so 1 where V is 0.
+    """
+    if datatype == INTEGER:
+        return V / _floor(Vhat)
+    return V / _clamp_prob(-np.expm1(-_floor(Vhat)))
+
+
 def nll_poisson_integer_cells(V, Vhat):
-    return Vhat - V * np.log(_floor(Vhat))
+    return Vhat - poisson_log_term(INTEGER, V, Vhat)
 
 
 def nll_poisson_binary_cells(Vb, Vhat):
     # an unobserved cell is floor(vhat) - 0 * log(e^vhat - 1) = floor(vhat)
     out = _floor(Vhat)
     on = np.flatnonzero(Vb)
-    out.flat[on] -= Vb.flat[on] * _log_expm1(Vhat.flat[on])
+    out.flat[on] -= poisson_log_term(BINARY, Vb.flat[on], Vhat.flat[on])
     return out
 
 
@@ -164,10 +187,10 @@ def grad_nll_wrt_reconstruction(kind, V, Vhat, params=None):
     Vhat = np.asarray(Vhat, dtype=float)
     if kind.distribution == POISSON:
         if kind.datatype == INTEGER:
-            return 1.0 - V / _floor(Vhat)
+            return 1.0 - poisson_weight(INTEGER, V, Vhat)
         G = np.ones_like(Vhat)  # 1 - 0 / p on every unobserved cell
         on = np.flatnonzero(V)
-        G.flat[on] = 1.0 - V.flat[on] / _clamp_prob(-np.expm1(-_floor(Vhat.flat[on])))
+        G.flat[on] = 1.0 - poisson_weight(BINARY, V.flat[on], Vhat.flat[on])
         return G
     if kind.datatype == REAL:
         return (Vhat - V) / (params.t_n * params.sigma2)

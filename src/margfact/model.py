@@ -4,6 +4,16 @@ A model holds one shared entity factor plus exactly one factor matrix per
 modality name; tensors referencing the same modality share that storage
 (the tying constraint). The objective is the sum of each tensor's
 per-target-marginal NLL terms plus the two regularizers.
+
+The NLL terms are compiled once, on a model's first evaluation, into a
+list of `Term`s; the observations are read-only from then on. A Poisson
+term whose observations are nonzero on fewer than SPARSE_DENSITY of its
+cells keeps those cells as index/value arrays and is evaluated on them
+alone, as in CP-APR (Chi & Kolda 2012): sum(vhat) is closed-form in the
+column sums, the log term and the gradient weight V / vhat live on the
+observed cells. Every other term runs the dense kernels on the whole
+matrix. objective, gradient_block and project_patients all go through the
+compiled list.
 """
 
 import json
@@ -20,6 +30,14 @@ from .tensor import (marginal_scales, multiplicity, read_factor_csv,
                      reconstruct_marginal, write_factor_csv)
 
 SHARED = "__shared__"
+
+#: A Poisson term is evaluated on its observed cells alone when fewer than
+#: this share of its cells are nonzero. Measured on one core for 500x30
+#: (rank 5) and 9,000x500 (rank 20) matrices, objective plus gradients: the
+#: cells are 1.5-12x faster at 2% nonzero, about even at 10%, and up to
+#: 4.7x slower at 20-30%, where the per-cell gathers outweigh the dense
+#: products.
+SPARSE_DENSITY = 0.1
 
 
 @dataclass
@@ -117,8 +135,129 @@ class ModelSpec:
             return cls.from_dict(json.load(fh))
 
 
+def _run_pointers(index, n):
+    """Start of each of n runs of a sorted index array, plus its end."""
+    return np.concatenate(([0], np.cumsum(np.bincount(index, minlength=n))))
+
+
+def _run_sums(x, ptr):
+    """Sums of x over the runs x[ptr[i]:ptr[i + 1]] along axis 0; 0 for an empty run."""
+    out = np.zeros((ptr.size - 1,) + x.shape[1:])
+    full = ptr[:-1] < ptr[1:]
+    out[full] = np.add.reduceat(x, ptr[:-1][full], axis=0)
+    return out
+
+
+class Cells:
+    """The nonzero cells of an observation matrix, row by row.
+
+    Row i's cells are [indptr[i], indptr[i + 1]); `by_col` lists the cells
+    column by column and col_ptr delimits each column's run in that order.
+    """
+
+    def __init__(self, V):
+        self.rows, self.cols = np.nonzero(V)
+        self.vals = V[self.rows, self.cols]
+        self.indptr = _run_pointers(self.rows, V.shape[0])
+        self.by_col = np.argsort(self.cols, kind="stable")
+        self.col_ptr = _run_pointers(self.cols, V.shape[1])
+
+    def select(self, rows):
+        """The cells of `rows`, row by row in that order: their positions, each
+        cell's index into `rows`, and the run pointers of the rows."""
+        lo = self.indptr[rows]
+        counts = self.indptr[rows + 1] - lo
+        ptr = np.concatenate(([0], np.cumsum(counts)))
+        pos = np.arange(ptr[-1]) + np.repeat(lo - ptr[:-1], counts)
+        return pos, np.repeat(np.arange(len(rows)), counts), ptr
+
+
+class Term:
+    """One (tensor, target modality) NLL term, compiled once per model.
+
+    The methods take the shared rows S and the model's factor dict, so a
+    term never holds factor values. `cells` is the observed cells of a
+    sparse Poisson term and None for a dense one.
+    """
+
+    def __init__(self, tensor, k, obs, t_n):
+        self.tensor, self.k, self.name = tensor, k, tensor.modalities[k]
+        self.V = obs.values
+        self.kind = lk.ObservationKind(tensor.distribution, obs.kind.datatype)
+        self.params = (lk.GaussianParams(tensor.sigma2, t_n)
+                       if tensor.distribution == lk.GAUSSIAN else None)
+        sparse = (tensor.distribution == lk.POISSON
+                  and np.count_nonzero(self.V) < SPARSE_DENSITY * self.V.size)
+        self.cells = Cells(self.V) if sparse else None
+
+    def blocks(self, factors):
+        return [factors[m] for m in self.tensor.modalities]
+
+    def _observed(self, S, B, rows):
+        """S and B gathered at the observed cells of rows (all when None), the
+        cells' values and the rows' run pointers."""
+        c = self.cells
+        if rows is None:
+            pos, local, ptr = slice(None), c.rows, c.indptr
+        else:
+            pos, local, ptr = c.select(rows)
+        return S.take(local, axis=0), B.take(c.cols[pos], axis=0), c.vals[pos], ptr
+
+    def nll(self, S, factors, rows=None):
+        """The term's NLL with S the whole shared block, or, given rows, one
+        value per row with S holding those shared rows."""
+        blocks = self.blocks(factors)
+        if self.cells is None:
+            if rows is None:
+                return lk.nll(self.kind, self.V, reconstruct_marginal(S, blocks, self.k),
+                              self.params)
+            vhat = (S * marginal_scales(blocks, self.k)) @ blocks[self.k].T
+            return lk.nll_cells(self.kind, self.V[rows], vhat, self.params).sum(axis=1)
+        Bs = blocks[self.k] * marginal_scales(blocks, self.k)
+        S_at, Bs_at, vals, ptr = self._observed(S, Bs, rows)
+        log_term = lk.poisson_log_term(self.kind.datatype, vals,
+                                       np.einsum("ij,ij->i", S_at, Bs_at))
+        if rows is None:  # sum(vhat) is closed-form in the column sums
+            return float(S.sum(axis=0) @ Bs.sum(axis=0) - np.sum(log_term))
+        return S @ Bs.sum(axis=0) - _run_sums(log_term, ptr)
+
+    def gradient(self, S, factors, block=SHARED, rows=None):
+        """d NLL / d block, for SHARED (of the rows `rows` that S holds, all when
+        None) or for a modality of the tensor (a length-R row, the same for
+        every item, when it is not the target)."""
+        blocks = self.blocks(factors)
+        B = blocks[self.k]
+        scales = marginal_scales(blocks, self.k)
+        j = None if block == SHARED else self.tensor.modalities.index(block)
+        if self.cells is None:
+            V = self.V if rows is None else self.V[rows]
+            G = lk.grad_nll_wrt_reconstruction(self.kind, V, (S * scales) @ B.T, self.params)
+            if j is None:
+                return (G @ B) * scales
+            if j == self.k:
+                return (G.T @ S) * scales
+            # non-target modality: vhat depends on it only through its column sums
+            return marginal_scales(blocks, self.k, j) * np.einsum("ic,il,lc->c", S, G, B)
+        # G = 1 - W, with W = poisson_weight nonzero on the observed cells only
+        Bs = B * scales
+        S_at, Bs_at, vals, ptr = self._observed(S, Bs, rows)
+        W = lk.poisson_weight(self.kind.datatype, vals, np.einsum("ij,ij->i", S_at, Bs_at))
+        if j is None:
+            return Bs.sum(axis=0) - _run_sums(W[:, None] * Bs_at, ptr)
+        if j == self.k:
+            by_col = self.cells.by_col
+            WS = W[by_col, None] * S_at[by_col]
+            return (S.sum(axis=0) - _run_sums(WS, self.cells.col_ptr)) * scales
+        WSB = np.einsum("i,ij,ij->j", W, S_at, B.take(self.cells.cols, axis=0))
+        return marginal_scales(blocks, self.k, j) * (S.sum(axis=0) * B.sum(axis=0) - WSB)
+
+
 class Model:
-    """A (possibly unfitted) collective model bound to its observations."""
+    """A (possibly unfitted) collective model bound to its observations.
+
+    The observations must not change once the model has been evaluated:
+    its terms are compiled from them then.
+    """
 
     def __init__(self, spec, observations, shared, factors):
         self.spec = spec
@@ -126,22 +265,26 @@ class Model:
         self.shared = shared
         self.factors = factors  # modality name -> (I_n, R) array, one per name
         self.trace = None
+        self._terms = None
 
     @property
     def shared_ids(self):
         return next(iter(self.observations.values())).shared_ids
 
+    def compiled_terms(self):
+        """One Term per (tensor, target modality), built on the first call."""
+        if self._terms is None:
+            self._terms = [
+                Term(tensor, k, self.observations[name],
+                     multiplicity([self.factors[m] for m in tensor.modalities], k))
+                for tensor in self.spec.tensors for k, name in enumerate(tensor.modalities)]
+        return self._terms
+
     def terms(self):
-        """Yield one record per (tensor, target modality) NLL term."""
-        for tensor in self.spec.tensors:
-            blocks = [self.factors[m] for m in tensor.modalities]
-            for k, name in enumerate(tensor.modalities):
-                obs = self.observations[name]
-                kind = lk.ObservationKind(tensor.distribution, obs.kind.datatype)
-                params = None
-                if tensor.distribution == lk.GAUSSIAN:
-                    params = lk.GaussianParams(tensor.sigma2, multiplicity(blocks, k))
-                yield tensor, k, name, blocks, obs.values, kind, params
+        """Yield (tensor, k, name, blocks, values, kind, params) per compiled term."""
+        for term in self.compiled_terms():
+            yield (term.tensor, term.k, term.name, term.blocks(self.factors), term.V,
+                   term.kind, term.params)
 
 
 def build_model(spec, observations):
@@ -173,9 +316,8 @@ def build_model(spec, observations):
 def objective(model):
     """Sum of all marginal NLL terms plus both regularizers."""
     total = 0.0
-    for _, k, _, blocks, V, kind, params in model.terms():
-        vhat = reconstruct_marginal(model.shared, blocks, k)
-        total += lk.nll(kind, V, vhat, params)
+    for term in model.compiled_terms():
+        total += term.nll(model.shared, model.factors)
     return total + _regularization(model)
 
 
@@ -193,22 +335,9 @@ def gradient_block(model, block):
     else:
         raise ConfigurationError(f"unknown block {block!r}")
 
-    for tensor, k, name, blocks, V, kind, params in model.terms():
-        if block != SHARED and block not in tensor.modalities:
-            continue
-        scales = marginal_scales(blocks, k)
-        vhat = (model.shared * scales) @ blocks[k].T
-        G = lk.grad_nll_wrt_reconstruction(kind, V, vhat, params)
-        if block == SHARED:
-            grad += (G @ blocks[k]) * scales
-        elif block == name:
-            grad += (G.T @ model.shared) * scales
-        else:
-            # non-target modality: vhat depends on it only through its column sums
-            j = tensor.modalities.index(block)
-            w = (marginal_scales(blocks, k, j)
-                 * np.einsum("ic,il,lc->c", model.shared, G, blocks[k]))
-            grad += np.broadcast_to(w, grad.shape)
+    for term in model.compiled_terms():
+        if block == SHARED or block in term.tensor.modalities:
+            grad += term.gradient(model.shared, model.factors, block)
 
     if block != SHARED:
         cfg = model.spec.regularizer
@@ -278,7 +407,9 @@ def project_patients(model, new_obs, cfg=None):
     Solves the shared-row NLL minimization per row with projected gradient
     and per-row backtracking; rows are fully independent subproblems, and
     each row's search starts from the step its last search left (cfg.step0
-    at first). Cold start at the column means of the trained shared factor.
+    at first). A row stops once a sweep lowers its NLL by less than cfg.tol
+    (relative); each sweep differentiates and evaluates only the rows still
+    active. Cold start at the column means of the trained shared factor.
     """
     cfg = cfg or model.spec.solver
     for tensor in model.spec.tensors:
@@ -293,28 +424,31 @@ def project_patients(model, new_obs, cfg=None):
 
     n_new = len(next(iter(new_obs.values())).shared_ids)
     S = np.tile(np.maximum(model.shared.mean(axis=0), 1e-6), (n_new, 1))
-    frozen = Model(model.spec, new_obs, S, model.factors)
+    terms = Model(model.spec, new_obs, S, model.factors).compiled_terms()
 
     def row_objective(S_rows, rows):
         f = np.zeros(len(rows))
-        for _, k, _, blocks, V, kind, params in frozen.terms():
-            vhat = (S_rows * marginal_scales(blocks, k)) @ blocks[k].T
-            f += lk.nll_cells(kind, V[rows], vhat, params).sum(axis=1)
+        for term in terms:
+            f += term.nll(S_rows, model.factors, rows)
         return f
 
     f = row_objective(S, np.arange(n_new))
     active = np.ones(n_new, dtype=bool)  # rows converge independently
     eta = np.full(n_new, cfg.step0)
     for _ in range(cfg.max_sweeps):
-        if not active.any():
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
             break
-        frozen.shared = S
-        g = gradient_block(frozen, SHARED)
-        g[~active] = 0.0  # a zero step leaves a converged row as it is
-        S_new, f_new, _, eta = projected_step(S, g, row_objective, f, cfg, eta)
-        rel = np.abs(f - f_new) / np.maximum(1.0, np.abs(f))
-        S, f = S_new, f_new
-        active &= rel >= cfg.tol
+        S_active = S[rows]
+        g = np.zeros_like(S_active)
+        for term in terms:
+            g += term.gradient(S_active, model.factors, rows=rows)
+        S_new, f_new, _, eta[rows] = projected_step(
+            S_active, g, lambda trial, idx: row_objective(trial, rows[idx]), f[rows], cfg,
+            eta[rows])
+        rel = np.abs(f[rows] - f_new) / np.maximum(1.0, np.abs(f[rows]))
+        S[rows], f[rows] = S_new, f_new
+        active[rows] = rel >= cfg.tol
     return S
 
 

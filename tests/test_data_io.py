@@ -1,10 +1,15 @@
 import math
+import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from margfact import (IngestionError, InteractionTensorSpec, ModelSpec,
-                      ObservationKind, binarize, load_observations,
+                      ObservationKind, ObservationMatrix, binarize, load_observations,
                       save_observations, split_train_test, synth_generate)
 from margfact.data_io import load_labels, save_labels
 
@@ -93,6 +98,95 @@ class TestLoadSave:
         labels = np.array([0, 1, 1, 0, 0, 1])
         save_labels(tmp_path / "labels.csv", ids, labels)
         np.testing.assert_array_equal(load_labels(tmp_path / "labels.csv", ids), labels)
+
+
+KIND_VALUES = {
+    "poisson-integer": st.integers(0, 4).map(float),
+    "poisson-binary": st.sampled_from([0.0, 1.0]),
+    "gaussian-real": st.sampled_from([0.0, 0.0, 0.5, 1e-300, 3.25, 1e300]),
+    "gaussian-binary": st.sampled_from([0.0, 1.0]),
+}
+IDS = st.text("abcxyz019_", min_size=1, max_size=4)
+
+
+@st.composite
+def cohorts(draw):
+    """Random small cohorts: patient ids in drawn (not sorted) order, 1-3 modalities."""
+    patients = draw(st.lists(IDS, min_size=1, max_size=6, unique=True))
+    observations = {}
+    for m in range(draw(st.integers(1, 3))):
+        name = f"M{m}"
+        kind = draw(st.sampled_from(sorted(KIND_VALUES)))
+        items = draw(st.lists(IDS, min_size=1, max_size=5, unique=True))
+        cells = draw(st.lists(KIND_VALUES[kind], min_size=len(patients) * len(items),
+                              max_size=len(patients) * len(items)))
+        values = np.array(cells).reshape(len(patients), len(items))
+        observations[name] = ObservationMatrix(name, patients, items,
+                                               ObservationKind.parse(kind), values)
+    return observations
+
+
+FUZZ = settings(max_examples=60, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+def shuffled_triplets(directory, name, rng):
+    """Shuffle a saved triplet file's data lines in place; returns them."""
+    path = os.path.join(directory, f"{name}.csv")
+    with open(path, encoding="utf-8") as fh:
+        header, *lines = fh.read().splitlines()
+    lines = [lines[i] for i in rng.permutation(len(lines))]
+    return path, header, lines
+
+
+def write_lines(path, header, lines):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join([header, *lines]) + "\n")
+
+
+class TestIngestionFuzz:
+    @FUZZ
+    @given(cohorts(), st.integers(0, 2**32 - 1))
+    def test_save_load_round_trip(self, observations, seed):
+        rng = np.random.default_rng(seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest = save_observations(observations, tmp)
+            for name in observations:
+                write_lines(*shuffled_triplets(tmp, name, rng))
+            loaded = load_observations(manifest)
+        assert list(loaded) == list(observations)
+        for name, obs in observations.items():
+            assert loaded[name].shared_ids == obs.shared_ids
+            assert loaded[name].item_ids == obs.item_ids
+            assert loaded[name].kind == obs.kind
+            np.testing.assert_array_equal(loaded[name].values, obs.values)
+
+    @FUZZ
+    @given(cohorts(), st.sampled_from(["patient", "item", "duplicate"]), st.data())
+    def test_injected_triplet_names_its_line(self, observations, fault, data):
+        name = data.draw(st.sampled_from(sorted(observations)))
+        obs = observations[name]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest = save_observations(observations, tmp)
+            path, header, lines = shuffled_triplets(tmp, name, rng)
+            at = data.draw(st.integers(0, len(lines)))
+            if fault == "duplicate":
+                if not lines:
+                    return
+                original = data.draw(st.integers(0, len(lines) - 1))
+                bad = lines[original]
+                line = max(at, original + (original >= at)) + 2  # the second occurrence
+            else:
+                pid, item = obs.shared_ids[0], obs.item_ids[0]
+                bad = f"{pid}!,{item},1" if fault == "patient" else f"{pid},{item}!,1"
+                line = at + 2
+            write_lines(path, header, lines[:at] + [bad] + lines[at:])
+            message = {"patient": "unknown patient id", "item": "item .* not in vocabulary",
+                       "duplicate": "duplicate triplet"}[fault]
+            with pytest.raises(IngestionError,
+                               match=re.escape(f"{name}.csv:{line}: ") + message):
+                load_observations(manifest)
 
 
 class TestObservationMatrix:

@@ -4,18 +4,12 @@ Exit codes: 0 success, 2 usage, 3 ingestion, 4 numeric failure.
 """
 
 import argparse
-import csv
-import json
 import os
 import sys
 
-import numpy as np
-
 from . import analysis, data_io, evaluate
 from .errors import ConfigurationError, IngestionError, NumericError
-from .model import (InteractionTensorSpec, ModelSpec, SolverConfig,
-                    build_model, load_model, save_model)
-from .regularizers import RegularizerConfig
+from .model import InteractionTensorSpec, ModelSpec, build_model, load_model, save_model
 from .solver import train
 
 EXIT_USAGE = 2
@@ -39,16 +33,6 @@ def _parse_modality_token(token):
     return name, size, datatype, distribution
 
 
-def _configure_threads(args):
-    threads = os.environ.get("CHITF_THREADS", None)
-    if threads is None:
-        threads = getattr(args, "threads", 1)
-    if getattr(args, "deterministic", False):
-        threads = 1
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(threads))
-
-
 def cmd_synth(args):
     specs = [_parse_modality_token(t) for t in args.modality]
     sizes = {name: size for name, size, _, _ in specs}
@@ -68,25 +52,16 @@ def cmd_synth(args):
     observations, truth = data_io.synth_generate(
         spec, sizes, datatypes, args.patients,
         sparsity=args.sparsity, scale=args.scale, seed=args.seed)
-    os.makedirs(args.out, exist_ok=True)
     data_io.save_observations(observations, args.out)
     spec.save(os.path.join(args.out, "model_spec.json"))
-    truth_dir = os.path.join(args.out, "truth")
-    os.makedirs(truth_dir, exist_ok=True)
-    shared_ids = next(iter(observations.values())).shared_ids
-    from .tensor import write_factor_csv
-    write_factor_csv(os.path.join(truth_dir, "shared.csv"), shared_ids, truth.shared)
-    for name, U in truth.modality_factors.items():
-        write_factor_csv(os.path.join(truth_dir, f"{name}.csv"),
-                         observations[name].item_ids, U)
+    data_io.save_factors(os.path.join(args.out, "truth"), truth.shared,
+                         truth.modality_factors, observations)
     print(f"wrote synthetic dataset to {args.out}")
     return 0
 
 
-def _load_model_and_obs(args):
-    observations = data_io.load_observations(args.manifest)
-    model = load_model(args.model, observations)
-    return model, observations
+def _load_model(args):
+    return load_model(args.model, data_io.load_observations(args.manifest))
 
 
 def cmd_train(args):
@@ -104,7 +79,7 @@ def cmd_train(args):
 
 
 def cmd_correspondence(args):
-    model, _ = _load_model_and_obs(args)
+    model = _load_model(args)
     anchor_modality, _, anchor_item = args.anchor.partition(":")
     tensor_id = args.tensor
     if tensor_id is None:
@@ -116,52 +91,34 @@ def cmd_correspondence(args):
     row = analysis.extract_correspondence(model, tensor_id, anchor_modality,
                                           anchor_item, args.target)
     out_path = args.out or "correspondence.csv"
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("anchor_modality,anchor_item,target_modality,target_item,score,rank\n")
-        for rank, (item, score) in enumerate(row.top(args.top), start=1):
-            fh.write(f"{anchor_modality},{anchor_item},{args.target},{item},{score:.17g},{rank}\n")
+    data_io.write_correspondence(out_path, anchor_modality, anchor_item, args.target,
+                                 row.top(args.top))
     print(f"wrote top-{args.top} correspondence to {out_path}")
     return 0
 
 
 def cmd_phenotypes(args):
-    model, _ = _load_model_and_obs(args)
+    model = _load_model(args)
     phenotypes = analysis.extract_phenotypes(model, weight_threshold=args.threshold)
     doc = [{"phenotype": p.index,
             "items": {name: [{"item": item, "weight": weight} for item, weight in items]
                       for name, items in p.items.items()}}
            for p in phenotypes]
     out_path = args.out or "phenotypes.json"
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    data_io.write_json(out_path, doc)
     print(f"wrote {len(doc)} phenotypes to {out_path}")
     return 0
 
 
-def _read_annotations(path):
-    annotations = {}
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["anchor_item", "target_item", "score"]:
-            raise IngestionError(f"{path}:1: expected header anchor_item,target_item,score")
-        for lineno, rowdata in enumerate(reader, start=2):
-            if len(rowdata) != 3 or rowdata[2] not in ("0", "1", "2"):
-                raise IngestionError(f"{path}:{lineno}: expected anchor,target,score in {{0,1,2}}")
-            annotations.setdefault(rowdata[0], {})[rowdata[1]] = int(rowdata[2])
-    return annotations
-
-
 def cmd_metrics(args):
-    model, _ = _load_model_and_obs(args)
+    model = _load_model(args)
     phenotypes = analysis.extract_phenotypes(model)
     doc = {"sparsity": analysis.sparsity(model.factors),
            "cosine_similarity": analysis.cosine_similarity_metric(model.factors),
            "jaccard_at_k": analysis.jaccard_at_k(phenotypes, k=args.k),
            "k": args.k}
     if args.annotations:
-        annotations = _read_annotations(args.annotations)
+        annotations = data_io.read_annotations(args.annotations)
         meaningfulness = {}
         for anchor_item, ann in annotations.items():
             row = analysis.extract_correspondence(model, args.tensor, args.anchor_modality,
@@ -169,9 +126,7 @@ def cmd_metrics(args):
             meaningfulness[anchor_item] = analysis.meaningfulness_score(row, ann)
         doc["meaningfulness"] = meaningfulness
     out_path = args.out or "metrics.json"
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    data_io.write_json(out_path, doc)
     print(f"wrote metrics to {out_path}")
     return 0
 
@@ -184,9 +139,7 @@ def cmd_evaluate(args):
     report = evaluate.five_fold_cv(observations, labels, spec, spec.solver,
                                    n_folds=args.folds, seed=args.seed)
     out_path = args.out or "evaluation.json"
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    data_io.write_json(out_path, report)
     print(f"AUPRC: {report['mean']:.4f} ({report['std']:.4f}); report at {out_path}")
     return 0
 
@@ -214,8 +167,11 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-sweeps", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--deterministic", action="store_true")
+    p.add_argument("--threads", type=int, default=1,
+                   help="has no effect: set OPENBLAS_NUM_THREADS before launching")
+    p.add_argument("--deterministic", action="store_true",
+                   help="has no effect: reruns with one seed and one BLAS thread count "
+                        "are byte-identical")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("correspondence", help="extract a correspondence row")
@@ -263,10 +219,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    _configure_threads(args)
     try:
         return args.func(args)
-    except (IngestionError, FileNotFoundError) as exc:
+    except IngestionError as exc:
         print(f"ingestion error: {exc}", file=sys.stderr)
         return EXIT_INGESTION
     except ConfigurationError as exc:

@@ -1,23 +1,69 @@
-"""Observation ingestion, binarization, splitting, and synthetic data.
+"""Every file margfact reads or writes; observation splitting and synthetic data.
 
 Observations live on disk as triplet CSVs (patient_id,item_id,value) with
 implicit zeros, referenced from a JSON manifest. In memory they are dense
-patient-by-item arrays with ordered id lists.
+patient-by-item arrays with ordered id lists. Fitted factors are CSVs
+(entity_id,f1,...,fR), and specs, traces and reports are JSON documents.
+
+CSV writers quote an id by the csv rules, only where it holds a comma, a
+double quote or a line break, and every CSV reader parses with csv.reader,
+so any id round-trips. A file that cannot be read, or whose content is
+malformed, raises IngestionError naming it; a file or directory that
+cannot be written raises ConfigurationError.
 """
 
+import contextlib
 import csv
 import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, IngestionError
-from .likelihoods import (BINARY, GAUSSIAN, INTEGER, POISSON, REAL,
-                          GaussianParams, ObservationKind, erf)
+from .likelihoods import (BINARY, INTEGER, POISSON, REAL, GaussianParams,
+                          ObservationKind, erf)
 from .tensor import multiplicity, reconstruct_marginal
+
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+@contextlib.contextmanager
+def _open(path, mode="r"):
+    """path as UTF-8 text, for reading or (creating its directory) writing.
+    Failing to read or decode it raises IngestionError, failing to write it
+    ConfigurationError, either naming it."""
+    try:
+        if mode == "w":
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, mode, encoding="utf-8", newline="") as fh:
+            yield fh
+    except (OSError, ValueError) as exc:
+        error = IngestionError if mode == "r" else ConfigurationError
+        raise error(f"cannot {'read' if mode == 'r' else 'write'} {path}: "
+                    f"{getattr(exc, 'strerror', None) or exc}") from exc
+
+
+def _field(value):
+    """value as a CSV field: quoted, with inner quotes doubled, where it needs quotes."""
+    s = str(value)
+    return '"' + s.replace('"', '""') + '"' if _NEEDS_QUOTES.search(s) else s
+
+
+def read_json(path):
+    """The JSON document at path."""
+    with _open(path) as fh:
+        return json.load(fh)
+
+
+def write_json(path, doc, sort_keys=False):
+    """Write doc indented by 2, with a final newline."""
+    with _open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
 
 
 @dataclass
@@ -53,7 +99,7 @@ def _check_values(modality, kind, values):
 
 def _read_vocab(path):
     first_line = {}  # item -> line number, in file order
-    with open(path, encoding="utf-8") as fh:
+    with _open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             item = line.strip()
             if item in first_line:
@@ -67,7 +113,7 @@ def _read_vocab(path):
 def _read_triplets(path):
     """Columns (patient ids, item ids, values) of a triplet CSV; triplet i is on line i + 2."""
     pids, items, values = [], [], []
-    with open(path, encoding="utf-8") as fh:
+    with _open(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["patient_id", "item_id", "value"]:
@@ -118,25 +164,36 @@ def _fill(path, triplets, pidx, n_rows, vocab):
 
 
 def load_observations(manifest_path):
-    """Load all modalities listed in a manifest JSON; returns name -> ObservationMatrix."""
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    base = os.path.dirname(os.path.abspath(manifest_path))
+    """Load all modalities listed in a manifest JSON; returns name -> ObservationMatrix.
 
-    entries = manifest["modalities"]
+    The manifest is an object with a non-empty "modalities" list of
+    {name, path, kind, vocab_path} entries (paths relative to it) and an
+    optional "patients" list; any other shape raises IngestionError naming it.
+    """
+    manifest = read_json(manifest_path)
+    base = os.path.dirname(os.path.abspath(manifest_path))
+    try:
+        entries, patients = manifest["modalities"], manifest.get("patients", [])
+        if not (isinstance(entries, list) and entries and isinstance(patients, list)
+                and all(isinstance(p, str) for p in patients)):
+            raise IngestionError(f"{manifest_path}: 'modalities' must be a non-empty list "
+                                 "and 'patients' a list of ids")
+        files = {e["name"]: (ObservationKind.parse(e["kind"]), os.path.join(base, e["path"]),
+                             os.path.join(base, e["vocab_path"])) for e in entries}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise IngestionError(f"{manifest_path}: malformed manifest "
+                             f"({type(exc).__name__}: {exc})") from exc
+
     raw = {}
     patient_set = set()
-    for entry in entries:
-        name = entry["name"]
-        kind = ObservationKind.parse(entry["kind"])
-        path = os.path.join(base, entry["path"])
-        vocab = _read_vocab(os.path.join(base, entry["vocab_path"]))
+    for name, (kind, path, vocab_path) in files.items():
+        vocab = _read_vocab(vocab_path)
         triplets = _read_triplets(path)
         raw[name] = (kind, vocab, triplets, path)
         patient_set.update(triplets[0])
 
     # union of patients across modalities, zero-filled where absent
-    shared_ids = manifest.get("patients") or sorted(patient_set)
+    shared_ids = patients or sorted(patient_set)
     pidx = {p: i for i, p in enumerate(shared_ids)}
 
     observations = {}
@@ -151,29 +208,107 @@ def load_observations(manifest_path):
 
 def save_observations(observations, out_dir):
     """Write manifest + triplet/vocab files; inverse of load_observations."""
-    os.makedirs(out_dir, exist_ok=True)
-    shared_ids = None
     entries = []
     for name, obs in observations.items():
-        if shared_ids is None:
-            shared_ids = obs.shared_ids
         triplet_path = f"{name}.csv"
         vocab_path = f"{name}.vocab.txt"
-        with open(os.path.join(out_dir, vocab_path), "w", encoding="utf-8", newline="\n") as fh:
+        with _open(os.path.join(out_dir, vocab_path), "w") as fh:
             fh.writelines(f"{it}\n" for it in obs.item_ids)
-        with open(os.path.join(out_dir, triplet_path), "w", encoding="utf-8", newline="\n") as fh:
+        pids, items = list(map(_field, obs.shared_ids)), list(map(_field, obs.item_ids))
+        rows, cols = np.nonzero(obs.values)
+        with _open(os.path.join(out_dir, triplet_path), "w") as fh:
             fh.write("patient_id,item_id,value\n")
-            rows, cols = np.nonzero(obs.values)
-            for i, j in zip(rows, cols):
-                fh.write(f"{obs.shared_ids[i]},{obs.item_ids[j]},{obs.values[i, j]:.17g}\n")
+            fh.writelines("%s,%s,%.17g\n" % (pids[i], items[j], v) for i, j, v in
+                          zip(rows.tolist(), cols.tolist(), obs.values[rows, cols].tolist()))
         entries.append({"name": name, "path": triplet_path, "kind": str(obs.kind),
                         "vocab_path": vocab_path})
-    manifest = {"modalities": entries, "patients": list(shared_ids or [])}
     manifest_path = os.path.join(out_dir, "manifest.json")
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    shared_ids = next(iter(observations.values())).shared_ids if observations else []
+    write_json(manifest_path, {"modalities": entries, "patients": list(shared_ids)})
     return manifest_path
+
+
+def write_factor_csv(path, entity_ids, U):
+    """Serialize a factor matrix: header entity_id,f1,...,fR; 17 significant digits."""
+    U = np.asarray(U, dtype=float)
+    if len(entity_ids) != U.shape[0]:
+        raise ConfigurationError("entity id count does not match factor rows")
+    row = "%s" + ",%.17g" * U.shape[1] + "\n"
+    with _open(path, "w") as fh:
+        fh.write("entity_id," + ",".join(f"f{r + 1}" for r in range(U.shape[1])) + "\n")
+        fh.writelines(row % (eid, *values)
+                      for eid, values in zip(map(_field, entity_ids), U.tolist()))
+
+
+def read_factor_csv(path):
+    """Read a factor matrix CSV; returns (entity_ids, array)."""
+    ids, rows = [], []
+    with _open(path) as fh:
+        reader = csv.reader(fh)
+        width = len(next(reader, []))
+        if width < 2:
+            raise IngestionError(f"{path}:1: expected header entity_id,f1,...,fR")
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != width:
+                raise IngestionError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+            ids.append(row[0])
+            rows.append(row[1:])
+    try:
+        return ids, np.array(rows, dtype=float).reshape(len(ids), width - 1)
+    except ValueError as exc:
+        raise IngestionError(f"{path}: bad factor entry ({exc})") from exc
+
+
+def save_factors(out_dir, shared, factors, observations):
+    """shared.csv plus one <modality>.csv per factor, keyed by the observations' ids."""
+    write_factor_csv(os.path.join(out_dir, "shared.csv"),
+                     next(iter(observations.values())).shared_ids, shared)
+    for name, U in factors.items():
+        write_factor_csv(os.path.join(out_dir, f"{name}.csv"), observations[name].item_ids, U)
+
+
+def load_factors(model_dir, names, observations, rank):
+    """(shared, name -> factor) as save_factors wrote them. Each file must list
+    the observations' ids in their order and have `rank` finite, non-negative
+    columns; a model saved against another manifest, or a negative or
+    non-finite entry, raises IngestionError."""
+    def read(name, ids):
+        path = os.path.join(model_dir, f"{name}.csv")
+        got_ids, U = read_factor_csv(path)
+        if got_ids != list(ids):
+            raise IngestionError(f"{path}: its {len(got_ids)} entity ids do not match the "
+                                 f"{len(ids)} ids of the observations, in order")
+        if U.shape[1] != rank:
+            raise IngestionError(f"{path}: rank {U.shape[1]} differs from the spec's rank {rank}")
+        if not np.all(np.isfinite(U)) or np.any(U < 0):
+            raise IngestionError(f"{path}: factor entries must be finite and non-negative")
+        return U
+
+    shared_ids = next(iter(observations.values())).shared_ids
+    return read("shared", shared_ids), {n: read(n, observations[n].item_ids) for n in names}
+
+
+def read_annotations(path):
+    """anchor item -> {target item: relevance score in 0, 1, 2} from an annotation CSV."""
+    annotations = {}
+    with _open(path) as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != ["anchor_item", "target_item", "score"]:
+            raise IngestionError(f"{path}:1: expected header anchor_item,target_item,score")
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != 3 or row[2] not in ("0", "1", "2"):
+                raise IngestionError(f"{path}:{lineno}: expected anchor,target,score in {{0,1,2}}")
+            annotations.setdefault(row[0], {})[row[1]] = int(row[2])
+    return annotations
+
+
+def write_correspondence(path, anchor_modality, anchor_item, target_modality, top):
+    """One CSV row per (target item, score) of `top`, ranked from 1."""
+    anchor = ",".join(map(_field, (anchor_modality, anchor_item, target_modality)))
+    with _open(path, "w") as fh:
+        fh.write("anchor_modality,anchor_item,target_modality,target_item,score,rank\n")
+        for rank, (item, score) in enumerate(top, start=1):
+            fh.write(f"{anchor},{_field(item)},{score:.17g},{rank}\n")
 
 
 def binarize(obs):
@@ -186,7 +321,7 @@ def binarize(obs):
 def load_labels(path, shared_ids):
     """Read patient_id,label CSV aligned to shared_ids; returns int array."""
     labels = {}
-    with open(path, encoding="utf-8") as fh:
+    with _open(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["patient_id", "label"]:
@@ -202,9 +337,9 @@ def load_labels(path, shared_ids):
 
 
 def save_labels(path, shared_ids, labels):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open(path, "w") as fh:
         fh.write("patient_id,label\n")
-        for pid, y in zip(shared_ids, labels):
+        for pid, y in zip(map(_field, shared_ids), labels):
             fh.write(f"{pid},{int(y)}\n")
 
 

@@ -9,10 +9,6 @@ class ConfigurationError(MargfactError):
     """Inconsistent model configuration: rank mismatch, unknown modality, bad pairing."""
 
 
-class OracleScaleError(MargfactError):
-    """A dense tensor was requested above the oracle-scale size cap."""
-
-
 class IngestionError(MargfactError):
     """Malformed input data: duplicate triplets, kind violations, missing files."""
 

@@ -7,6 +7,9 @@ from .model import build_model, project_patients
 from .solver import train
 
 LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
+# proximal gradient stops at this relative change of the objective, or after MAX_ITER steps
+TOL = 1e-7
+MAX_ITER = 10_000
 
 
 def _sigmoid(z):
@@ -24,7 +27,7 @@ def _logistic_loss(X, y, w, b):
     return float(np.mean(np.logaddexp(0.0, -z) + (1.0 - y) * z))
 
 
-def lasso_logistic_fit(X, y, lam, tol=1e-7, max_iter=10_000):
+def lasso_logistic_fit(X, y, lam):
     """Minimize mean logistic loss + lam * ||w||_1 by proximal gradient.
 
     The intercept is unpenalized. Deterministic given the data; raises if
@@ -42,7 +45,7 @@ def lasso_logistic_fit(X, y, lam, tol=1e-7, max_iter=10_000):
     w = np.zeros(d)
     b = 0.0
     obj = _logistic_loss(X, y, w, b) + lam * np.sum(np.abs(w))
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         p = _sigmoid(X @ w + b)
         gw = X.T @ (p - y) / n
         gb = float(np.mean(p - y))
@@ -51,7 +54,7 @@ def lasso_logistic_fit(X, y, lam, tol=1e-7, max_iter=10_000):
         b_new = b - step * gb
         obj_new = _logistic_loss(X, y, w_new, b_new) + lam * np.sum(np.abs(w_new))
         w, b = w_new, b_new
-        if abs(obj - obj_new) <= tol * max(1.0, abs(obj)):
+        if abs(obj - obj_new) <= TOL * max(1.0, abs(obj)):
             obj = obj_new
             break
         obj = obj_new
@@ -96,13 +99,13 @@ def _stratified_folds(labels, n_folds, seed):
     return [sorted(f) for f in folds]
 
 
-def five_fold_cv(observations, labels, model_spec, solver_cfg=None, n_folds=5,
-                 lambda_grid=LAMBDA_GRID, seed=0):
+def five_fold_cv(observations, labels, model_spec, solver_cfg=None, n_folds=5, seed=0):
     """Per-fold AUPRC of lasso-logistic mortality prediction on projections.
 
     Each fold: fit the factorization on the training patients, project the
     test patients, select lambda on an inner 80/20 validation split of the
-    training representations, refit, and score the held-out fold.
+    training representations, refit, and score the held-out fold. lambda is
+    chosen from LAMBDA_GRID.
     """
     labels = np.asarray(labels, dtype=int)
     n = len(labels)
@@ -121,17 +124,17 @@ def five_fold_cv(observations, labels, model_spec, solver_cfg=None, n_folds=5,
         X_train = model.shared
         X_test = project_patients(model, test_obs, solver_cfg)
 
-        lam = _select_lambda(X_train, y_train, lambda_grid, seed + fold_id)
+        lam = _select_lambda(X_train, y_train, seed + fold_id)
         w, b = lasso_logistic_fit(X_train, y_train, lam)
         score = auprc(predict_scores(X_test, w, b), y_test)
         results.append({"fold": fold_id, "auprc": score, "lambda": lam,
                         "n_train": len(train_idx), "n_test": len(test_idx)})
     values = np.array([r["auprc"] for r in results])
     return {"folds": results, "mean": float(values.mean()), "std": float(values.std()),
-            "config": {"n_folds": n_folds, "lambda_grid": list(lambda_grid), "seed": seed}}
+            "config": {"n_folds": n_folds, "lambda_grid": list(LAMBDA_GRID), "seed": seed}}
 
 
-def _select_lambda(X, y, lambda_grid, seed):
+def _select_lambda(X, y, seed):
     """Pick lambda by AUPRC on a stratified inner 80/20 validation split."""
     val_idx = []
     for perm in class_permutations(y, np.random.default_rng(seed)):
@@ -139,9 +142,9 @@ def _select_lambda(X, y, lambda_grid, seed):
     val_idx = sorted(val_idx)
     fit_idx = sorted(set(range(len(y))) - set(val_idx))
     if len(np.unique(y[fit_idx])) < 2 or len(np.unique(y[val_idx])) < 2:
-        return lambda_grid[0]
-    best_lam, best_score = lambda_grid[0], -1.0
-    for lam in lambda_grid:
+        return LAMBDA_GRID[0]
+    best_lam, best_score = LAMBDA_GRID[0], -1.0
+    for lam in LAMBDA_GRID:
         w, b = lasso_logistic_fit(X[fit_idx], y[fit_idx], lam)
         score = auprc(predict_scores(X[val_idx], w, b), y[val_idx])
         if score > best_score:

@@ -13,7 +13,7 @@ A Poisson cell NLL is vhat (floored at EPS for the binary kind) minus
 poisson_log_term, and its gradient is 1 - poisson_weight. Both helpers are
 0 where V is 0, so a sparse Poisson term is evaluated on its observed
 (nonzero) cells alone, with sum(vhat) in closed form (model.Term); the
-dense Poisson-binary kernels, too, apply them on the observed cells only.
+dense kernels here apply them to every cell.
 """
 
 import math
@@ -47,7 +47,7 @@ class ObservationKind:
 
     def __post_init__(self):
         if (self.distribution, self.datatype) not in VALID_KINDS:
-            raise ValueError(f"invalid observation kind: {self.distribution}/{self.datatype}")
+            raise ValueError(f"invalid observation kind: {self.distribution!r}/{self.datatype!r}")
 
     @classmethod
     def parse(cls, token):
@@ -128,18 +128,6 @@ def poisson_weight(datatype, V, Vhat):
     return V / _clamp_prob(-np.expm1(-_floor(Vhat)))
 
 
-def nll_poisson_integer_cells(V, Vhat):
-    return Vhat - poisson_log_term(INTEGER, V, Vhat)
-
-
-def nll_poisson_binary_cells(Vb, Vhat):
-    # an unobserved cell is floor(vhat) - 0 * log(e^vhat - 1) = floor(vhat)
-    out = _floor(Vhat)
-    on = np.flatnonzero(Vb)
-    out.flat[on] -= poisson_log_term(BINARY, Vb.flat[on], Vhat.flat[on])
-    return out
-
-
 def nll_gaussian_real_cells(V, Vhat, params):
     ts2 = params.t_n * params.sigma2
     d = V - Vhat
@@ -162,9 +150,8 @@ def nll_cells(kind, V, Vhat, params=None):
     V = np.asarray(V, dtype=float)
     Vhat = np.asarray(Vhat, dtype=float)
     if kind.distribution == POISSON:
-        if kind.datatype == INTEGER:
-            return nll_poisson_integer_cells(V, Vhat)
-        return nll_poisson_binary_cells(V, Vhat)
+        mean = Vhat if kind.datatype == INTEGER else _floor(Vhat)
+        return mean - poisson_log_term(kind.datatype, V, Vhat)
     if kind.datatype == REAL:
         return nll_gaussian_real_cells(V, Vhat, params)
     return nll_gaussian_binary_cells(V, Vhat, params)
@@ -186,12 +173,7 @@ def grad_nll_wrt_reconstruction(kind, V, Vhat, params=None):
     V = np.asarray(V, dtype=float)
     Vhat = np.asarray(Vhat, dtype=float)
     if kind.distribution == POISSON:
-        if kind.datatype == INTEGER:
-            return 1.0 - poisson_weight(INTEGER, V, Vhat)
-        G = np.ones_like(Vhat)  # 1 - 0 / p on every unobserved cell
-        on = np.flatnonzero(V)
-        G.flat[on] = 1.0 - poisson_weight(BINARY, V.flat[on], Vhat.flat[on])
-        return G
+        return 1.0 - poisson_weight(kind.datatype, V, Vhat)
     if kind.datatype == REAL:
         return (Vhat - V) / (params.t_n * params.sigma2)
     denom = math.sqrt(2.0 * params.t_n) * math.sqrt(params.sigma2)

@@ -16,20 +16,23 @@ matrix. objective, gradient_block and project_patients all go through the
 compiled list.
 """
 
-import json
+import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import likelihoods as lk
-from .errors import ConfigurationError, IngestionError
+from .data_io import load_factors, read_json, save_factors, write_json
+from .errors import ConfigurationError
 from .regularizers import (RegularizerConfig, angular_penalty,
                            angular_penalty_grad, elastic_net, elastic_net_grad)
-from .tensor import (marginal_scales, multiplicity, read_factor_csv,
-                     reconstruct_marginal, write_factor_csv)
+from .tensor import marginal_scales, multiplicity, reconstruct_marginal
 
 SHARED = "__shared__"
+
+#: Armijo sufficient-decrease constant of the projected line search
+ARMIJO_C = 1e-4
 
 #: A Poisson term is evaluated on its observed cells alone when fewer than
 #: this share of its cells are nonzero. Measured on one core for 500x30
@@ -48,6 +51,8 @@ class InteractionTensorSpec:
     sigma2: float = None
 
     def __post_init__(self):
+        if not all(isinstance(m, str) for m in self.modalities):
+            raise ConfigurationError(f"tensor {self.id!r}: modality names must be strings")
         if len(self.modalities) < 1:
             raise ConfigurationError(f"tensor {self.id!r} must reference at least one modality")
         if self.distribution not in (lk.POISSON, lk.GAUSSIAN):
@@ -63,22 +68,27 @@ class SolverConfig:
     step0: float = 1e-2  # the first step only: later searches start where the last one ended
     backtrack: float = 0.5
     max_halvings: int = 30
-    armijo_c: float = 1e-4
     log_every: int = 10
 
     def __post_init__(self):
-        if self.tol <= 0 or self.step0 <= 0 or not (0.0 < self.backtrack < 1.0):
-            raise ConfigurationError("solver config: tol > 0, step0 > 0, 0 < backtrack < 1 required")
+        for f in fields(self):
+            value, integral = getattr(self, f.name), isinstance(f.default, int)
+            if not isinstance(value, numbers.Integral if integral else numbers.Real):
+                raise ConfigurationError(f"solver config: {f.name} must be "
+                                         f"{'an integer' if integral else 'a number'}, "
+                                         f"got {value!r}")
+        if self.tol <= 0 or self.step0 <= 0 or not (0.0 < self.backtrack < 1.0) \
+                or self.log_every < 1:
+            raise ConfigurationError("solver config: tol > 0, step0 > 0, 0 < backtrack < 1 "
+                                     "and log_every >= 1 required")
 
     def to_dict(self):
-        return {"max_sweeps": self.max_sweeps, "tol": self.tol, "step0": self.step0,
-                "backtrack": self.backtrack, "max_halvings": self.max_halvings,
-                "armijo_c": self.armijo_c, "log_every": self.log_every}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d):
-        known = {k: d[k] for k in cls().to_dict() if k in d}
-        return cls(**known)
+        """Inverse of to_dict; keys that are not fields (an old armijo_c) are ignored."""
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 @dataclass
@@ -90,8 +100,10 @@ class ModelSpec:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ConfigurationError("rank must be >= 1")
+        if not isinstance(self.rank, numbers.Integral) or self.rank < 1:
+            raise ConfigurationError(f"rank must be an integer >= 1, got {self.rank!r}")
+        if not isinstance(self.init_seed, numbers.Integral) or self.init_seed < 0:
+            raise ConfigurationError(f"seed must be an integer >= 0, got {self.init_seed!r}")
         ids = [t.id for t in self.tensors]
         if len(set(ids)) != len(ids):
             raise ConfigurationError("tensor ids must be unique")
@@ -116,23 +128,26 @@ class ModelSpec:
                 "solver": self.solver.to_dict()}
 
     @classmethod
-    def from_dict(cls, d):
-        tensors = [InteractionTensorSpec(t["id"], list(t["modalities"]), t["distribution"],
-                                         t.get("sigma2")) for t in d["tensors"]]
-        return cls(rank=d["rank"], tensors=tensors,
-                   regularizer=RegularizerConfig.from_dict(d.get("regularizer", {})),
-                   init_seed=d.get("seed", 0),
-                   solver=SolverConfig.from_dict(d.get("solver", {})))
+    def from_dict(cls, d, source="model spec"):
+        """Inverse of to_dict; malformed input raises ConfigurationError naming source."""
+        try:
+            tensors = [InteractionTensorSpec(t["id"], t["modalities"], t["distribution"],
+                                             t.get("sigma2")) for t in d["tensors"]]
+            return cls(rank=d["rank"], tensors=tensors,
+                       regularizer=RegularizerConfig.from_dict(d.get("regularizer", {})),
+                       init_seed=d.get("seed", 0),
+                       solver=SolverConfig.from_dict(d.get("solver", {})))
+        except KeyError as exc:
+            raise ConfigurationError(f"{source}: missing key {exc}") from exc
+        except (AttributeError, TypeError, ValueError, ConfigurationError) as exc:
+            raise ConfigurationError(f"{source}: {exc}") from exc
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict(), sort_keys=True)
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path), source=path)
 
 
 def _run_pointers(index, n):
@@ -208,10 +223,9 @@ class Term:
         value per row with S holding those shared rows."""
         blocks = self.blocks(factors)
         if self.cells is None:
+            vhat = reconstruct_marginal(S, blocks, self.k)
             if rows is None:
-                return lk.nll(self.kind, self.V, reconstruct_marginal(S, blocks, self.k),
-                              self.params)
-            vhat = (S * marginal_scales(blocks, self.k)) @ blocks[self.k].T
+                return lk.nll(self.kind, self.V, vhat, self.params)
             return lk.nll_cells(self.kind, self.V[rows], vhat, self.params).sum(axis=1)
         Bs = blocks[self.k] * marginal_scales(blocks, self.k)
         S_at, Bs_at, vals, ptr = self._observed(S, Bs, rows)
@@ -231,7 +245,8 @@ class Term:
         j = None if block == SHARED else self.tensor.modalities.index(block)
         if self.cells is None:
             V = self.V if rows is None else self.V[rows]
-            G = lk.grad_nll_wrt_reconstruction(self.kind, V, (S * scales) @ B.T, self.params)
+            vhat = reconstruct_marginal(S, blocks, self.k)
+            G = lk.grad_nll_wrt_reconstruction(self.kind, V, vhat, self.params)
             if j is None:
                 return (G @ B) * scales
             if j == self.k:
@@ -388,7 +403,7 @@ def projected_step(values, grad, eval_objective, f_current, cfg, eta=None):
             f_trial[idx] = eval_objective(trial[idx], idx)
         else:
             f_trial = eval_objective(trial.reshape(values.shape))
-        ok = pending & (f_trial <= f - cfg.armijo_c * dist2 / eta)
+        ok = pending & (f_trial <= f - ARMIJO_C * dist2 / eta)
         if ok.any():
             out[ok] = trial[ok]
             f = np.where(ok, f_trial, f)
@@ -454,43 +469,16 @@ def project_patients(model, new_obs, cfg=None):
 
 def save_model(model, out_dir):
     """Persist spec.json, shared.csv, one factor CSV per modality, trace.json."""
-    os.makedirs(out_dir, exist_ok=True)
+    save_factors(out_dir, model.shared, model.factors, model.observations)
     model.spec.save(os.path.join(out_dir, "spec.json"))
-    write_factor_csv(os.path.join(out_dir, "shared.csv"), model.shared_ids, model.shared)
-    for name, U in model.factors.items():
-        write_factor_csv(os.path.join(out_dir, f"{name}.csv"),
-                         model.observations[name].item_ids, U)
     if model.trace is not None:
-        with open(os.path.join(out_dir, "trace.json"), "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(model.trace.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(os.path.join(out_dir, "trace.json"), model.trace.to_dict())
 
 
 def load_model(model_dir, observations):
-    """Rebuild a fitted model from a saved directory plus its observations.
-
-    Every saved factor must list the observations' entity ids in their
-    order and have spec.rank finite, non-negative columns; a model saved
-    against another manifest, or a negative or non-finite entry, raises
-    IngestionError.
-    """
+    """Rebuild a fitted model from a saved directory plus its observations;
+    a model saved against other observations raises IngestionError."""
     spec = ModelSpec.load(os.path.join(model_dir, "spec.json"))
     model = build_model(spec, observations)
-    model.shared = _read_factor(os.path.join(model_dir, "shared.csv"), model.shared_ids,
-                                spec.rank)
-    for name in model.factors:
-        model.factors[name] = _read_factor(os.path.join(model_dir, f"{name}.csv"),
-                                           observations[name].item_ids, spec.rank)
+    model.shared, model.factors = load_factors(model_dir, model.factors, observations, spec.rank)
     return model
-
-
-def _read_factor(path, expected_ids, rank):
-    ids, U = read_factor_csv(path)
-    if ids != list(expected_ids):
-        raise IngestionError(f"{path}: its {len(ids)} entity ids do not match the "
-                             f"{len(expected_ids)} ids of the observations, in order")
-    if U.shape[1] != rank:
-        raise IngestionError(f"{path}: rank {U.shape[1]} differs from the spec's rank {rank}")
-    if not np.all(np.isfinite(U)) or np.any(U < 0):
-        raise IngestionError(f"{path}: factor entries must be finite and non-negative")
-    return U

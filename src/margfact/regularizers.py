@@ -6,7 +6,7 @@ one-sided derivative from the non-negative side, and zero columns
 contribute cosine 0 (no penalty, no gradient).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -34,11 +34,11 @@ class RegularizerConfig:
         return self.theta
 
     def to_dict(self):
-        return {"gamma": self.gamma, "alpha": self.alpha, "beta": self.beta, "theta": self.theta}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**{k: d[k] for k in ("gamma", "alpha", "beta", "theta") if k in d})
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 def elastic_net(factors, cfg):

@@ -1,18 +1,15 @@
-"""Dense factor algebra: CP reconstruction, marginalization, and slices.
+"""Dense factor algebra: marginal reconstructions, column scales and slices.
 
 Factor matrices are plain (I, R) numpy arrays with non-negative entries.
-Full tensors are only ever materialized at oracle scale; the model itself
-works exclusively with marginal reconstructions.
+The full tensor is never materialized: the model works exclusively with
+marginal reconstructions (the full-tensor oracle lives in the tests).
 """
 
 import math
 
 import numpy as np
 
-from .errors import ConfigurationError, IngestionError, OracleScaleError
-
-#: full tensors exist only to validate the marginal algebra
-DENSE_SIZE_CAP = 10_000_000
+from .errors import ConfigurationError
 
 
 def check_factor(U, name="factor"):
@@ -30,36 +27,6 @@ def _common_rank(factors):
     if len(ranks) != 1:
         raise ConfigurationError(f"factors disagree on rank: {sorted(ranks)}")
     return ranks.pop()
-
-
-def reconstruct_full(factors, size_cap=DENSE_SIZE_CAP):
-    """Sum of rank-one outer products of the factor columns.
-
-    Entry (i1, ..., iD) equals sum_r prod_d factors[d][i_d, r].
-    """
-    factors = [check_factor(U, f"factors[{d}]") for d, U in enumerate(factors)]
-    _common_rank(factors)
-    shape = tuple(U.shape[0] for U in factors)
-    total = int(np.prod(shape))
-    if total > size_cap:
-        raise OracleScaleError(f"dense tensor of {total} entries exceeds cap {size_cap}")
-    letters = [chr(ord("a") + d) for d in range(len(factors))]
-    subscripts = ",".join(f"{c}r" for c in letters) + "->" + "".join(letters)
-    return np.einsum(subscripts, *factors)
-
-
-def marginalize(tensor, keep):
-    """Sum the tensor over every mode except the two in `keep`."""
-    tensor = np.asarray(tensor, dtype=float)
-    a, b = keep
-    if a == b or not (0 <= a < tensor.ndim) or not (0 <= b < tensor.ndim):
-        raise ValueError(f"keep modes {keep} invalid for order-{tensor.ndim} tensor")
-    other = tuple(d for d in range(tensor.ndim) if d not in (a, b))
-    out = tensor.sum(axis=other) if other else tensor
-    # summing drops axes; make axis order (a, b)
-    if a > b:
-        out = out.T
-    return out
 
 
 def marginal_scales(modality_factors, *skip):
@@ -103,29 +70,3 @@ def reconstruct_slice(shared_row, factor_a, factor_b):
     if shared_row.shape != (factor_a.shape[1],) or factor_a.shape[1] != factor_b.shape[1]:
         raise ConfigurationError("rank mismatch between shared_row and factors")
     return (factor_a * shared_row) @ factor_b.T
-
-
-def write_factor_csv(path, entity_ids, U):
-    """Serialize a factor matrix: header entity_id,f1,...,fR; 17 significant digits."""
-    U = np.asarray(U, dtype=float)
-    if len(entity_ids) != U.shape[0]:
-        raise ConfigurationError("entity id count does not match factor rows")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("entity_id," + ",".join(f"f{r + 1}" for r in range(U.shape[1])) + "\n")
-        for eid, row in zip(entity_ids, U):
-            fh.write(str(eid) + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def read_factor_csv(path):
-    """Read a factor matrix CSV; returns (entity_ids, array)."""
-    ids, rows = [], []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        rank = len(header) - 1
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != rank + 1:
-                raise IngestionError(f"{path}: malformed row {parts!r}")
-            ids.append(parts[0])
-            rows.append([float(v) for v in parts[1:]])
-    return ids, np.asarray(rows, dtype=float).reshape(len(ids), rank)

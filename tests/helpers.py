@@ -1,10 +1,50 @@
-"""Shared builders for small synthetic models used across the test suite."""
+"""Shared builders for small synthetic models used across the test suite,
+and the brute-force full-tensor oracles the marginal algebra is checked against."""
 
 import numpy as np
 
 from margfact import (InteractionTensorSpec, ModelSpec, ObservationKind,
                       ObservationMatrix, RegularizerConfig, SolverConfig,
                       build_model)
+from margfact.errors import MargfactError
+from margfact.tensor import _common_rank, check_factor
+
+#: full tensors exist only to validate the marginal algebra
+DENSE_SIZE_CAP = 10_000_000
+
+
+class OracleScaleError(MargfactError):
+    """A dense tensor was requested above the oracle-scale size cap."""
+
+
+def reconstruct_full(factors, size_cap=DENSE_SIZE_CAP):
+    """Sum of rank-one outer products of the factor columns.
+
+    Entry (i1, ..., iD) equals sum_r prod_d factors[d][i_d, r].
+    """
+    factors = [check_factor(U, f"factors[{d}]") for d, U in enumerate(factors)]
+    _common_rank(factors)
+    shape = tuple(U.shape[0] for U in factors)
+    total = int(np.prod(shape))
+    if total > size_cap:
+        raise OracleScaleError(f"dense tensor of {total} entries exceeds cap {size_cap}")
+    letters = [chr(ord("a") + d) for d in range(len(factors))]
+    subscripts = ",".join(f"{c}r" for c in letters) + "->" + "".join(letters)
+    return np.einsum(subscripts, *factors)
+
+
+def marginalize(tensor, keep):
+    """Sum the tensor over every mode except the two in `keep`."""
+    tensor = np.asarray(tensor, dtype=float)
+    a, b = keep
+    if a == b or not (0 <= a < tensor.ndim) or not (0 <= b < tensor.ndim):
+        raise ValueError(f"keep modes {keep} invalid for order-{tensor.ndim} tensor")
+    other = tuple(d for d in range(tensor.ndim) if d not in (a, b))
+    out = tensor.sum(axis=other) if other else tensor
+    # summing drops axes; make axis order (a, b)
+    if a > b:
+        out = out.T
+    return out
 
 
 def make_obs(name, values, distribution, datatype, shared_ids=None):

@@ -15,9 +15,8 @@ import pytest
 from margfact import (InteractionTensorSpec, ModelSpec, RegularizerConfig,
                       SolverConfig, auprc, build_model, cosine_similarity_metric,
                       extract_correspondence, five_fold_cv, jaccard_at_k,
-                      marginalize, meaningfulness_score, objective,
-                      reconstruct_full, reconstruct_marginal, sparsity,
-                      synth_generate, train)
+                      meaningfulness_score, objective, reconstruct_marginal,
+                      sparsity, synth_generate, train)
 from margfact.analysis import CorrespondenceRow, Phenotype, top_k_items
 from margfact.cli import main as cli_main
 from margfact.data_io import ObservationMatrix
@@ -29,7 +28,7 @@ from margfact.regularizers import (RegularizerConfig as Reg, angular_penalty,
                                    elastic_net_grad)
 
 from conftest import central_difference
-from helpers import make_obs
+from helpers import make_obs, marginalize, reconstruct_full
 
 
 def report(criterion, detail):

@@ -3,11 +3,11 @@ import pytest
 
 from margfact import (ConfigurationError, cosine_similarity_metric,
                       extract_correspondence, extract_phenotypes, jaccard_at_k,
-                      meaningfulness_score, reconstruct_full, sparsity)
+                      meaningfulness_score, sparsity)
 from margfact.analysis import CorrespondenceRow, Phenotype, top_k_items
 from margfact.solver import train
 
-from helpers import poisson_pair_model
+from helpers import poisson_pair_model, reconstruct_full
 
 
 def fitted_small_model(seed=0):

@@ -1,9 +1,16 @@
+import contextlib
+import copy
+import csv
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from margfact import ObservationKind, ObservationMatrix, save_observations
 from margfact.cli import main
 from margfact.model import InteractionTensorSpec, ModelSpec, SolverConfig
 from margfact.regularizers import RegularizerConfig
@@ -298,3 +305,191 @@ class TestEvaluate:
                    "--labels", str(tmp_path / "labels.csv"),
                    "--spec", spec, "--out", str(tmp_path / "eval.json"))
         assert code == 3
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    """A synthesized dataset plus a valid spec: (data dir, manifest doc, spec doc)."""
+    base = tmp_path_factory.mktemp("malformed")
+    data = base / "data"
+    manifest = synth_dataset(data)
+    spec = write_quick_spec(base / "spec.json")
+    with open(manifest) as fh:
+        manifest_doc = json.load(fh)
+    with open(spec) as fh:
+        spec_doc = json.load(fh)
+    return data, manifest_doc, spec_doc
+
+
+def train_on(dataset, manifest_text=None, spec_text=None):
+    """Run `train` with the dataset's manifest and spec, either replaced by the
+    given text; returns the exit code and what was printed to stderr."""
+    data, manifest_doc, spec_doc = dataset
+    manifest, spec = data / "case_manifest.json", data / "case_spec.json"
+    manifest.write_text(json.dumps(manifest_doc) if manifest_text is None else manifest_text)
+    spec.write_text(json.dumps(spec_doc) if spec_text is None else spec_text)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = run("train", "--manifest", str(manifest), "--spec", str(spec),
+                   "--out", str(data / "case_model"))
+    return code, stderr.getvalue()
+
+
+def edited(doc, edit):
+    """The JSON text of a copy of doc after edit(copy); cut short when edit is None."""
+    if edit is None:
+        return json.dumps(doc)[:-1]
+    doc = copy.deepcopy(doc)
+    edit(doc)
+    return json.dumps(doc)
+
+
+MALFORMED_MANIFESTS = {
+    "bad kind token": lambda m: m["modalities"][0].update(kind="poisson-count"),
+    "missing modalities": lambda m: m.pop("modalities"),
+    "missing vocab_path": lambda m: m["modalities"][0].pop("vocab_path"),
+    "modalities not a list": lambda m: m.update(modalities=m["modalities"][0]),
+    "patients not a list": lambda m: m.update(patients="p0"),
+    "invalid JSON": None,
+}
+MALFORMED_SPECS = {
+    "invalid JSON": None,
+    "missing tensors": lambda s: s.pop("tensors"),
+    "rank not a number": lambda s: s.update(rank="two"),
+    "tensor without id": lambda s: s["tensors"][0].pop("id"),
+    "tol not a number": lambda s: s["solver"].update(tol="x"),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", list(MALFORMED_MANIFESTS))
+    def test_manifest_is_ingestion_error(self, dataset, case):
+        code, stderr = train_on(dataset, manifest_text=edited(dataset[1],
+                                                              MALFORMED_MANIFESTS[case]))
+        assert code == 3
+        assert stderr.startswith("ingestion error: ") and stderr.count("\n") == 1
+        assert "case_manifest.json" in stderr
+
+    @pytest.mark.parametrize("case", list(MALFORMED_SPECS))
+    def test_spec_exits_cleanly(self, dataset, case):
+        code, stderr = train_on(dataset, spec_text=edited(dataset[2], MALFORMED_SPECS[case]))
+        assert code in (2, 3)
+        assert stderr.count("\n") == 1 and "case_spec.json" in stderr
+
+    def test_directory_as_manifest_is_ingestion_error(self, tmp_path, capsys):
+        spec = write_quick_spec(tmp_path / "spec.json")
+        code = run("train", "--manifest", str(tmp_path), "--spec", spec,
+                   "--out", str(tmp_path / "model"))
+        assert code == 3
+        assert capsys.readouterr().err.startswith("ingestion error: ")
+
+    def test_directory_as_report_is_usage_error(self, trained, capsys):
+        manifest, model_dir, tmp_path = trained
+        code = run("phenotypes", "--manifest", manifest, "--model", model_dir,
+                   "--out", str(tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("usage error: cannot write ")
+
+
+NOT_STRING = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+                       st.lists(st.integers(), max_size=2))
+NOT_NUMBER = st.one_of(st.none(), st.text(max_size=3), st.lists(st.integers(), max_size=2))
+NOT_LIST = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False))
+KINDS = {"poisson-integer", "poisson-binary", "gaussian-real", "gaussian-binary"}
+BAD_KIND = st.one_of(st.sampled_from(["poisson-real", "gaussian-integer", "poisson",
+                                      "Poisson-integer", "poisson_integer", ""]),
+                     st.text(max_size=12)).filter(lambda t: t not in KINDS)
+ENTRY_KEYS = ("name", "path", "kind", "vocab_path")
+# what each document needs: the keys that may not be dropped, and the values
+# that may not take some type
+MANIFEST_FAULTS = {
+    "drop": [("modalities",)] + [("modalities", i, k) for i in (0, 1) for k in ENTRY_KEYS],
+    "retype": [((), NOT_STRING), (("modalities",), NOT_LIST | st.text(max_size=3)),
+               (("patients",), NOT_LIST | st.text(max_size=3)),
+               (("patients", 0), NOT_STRING), (("modalities", 1, "kind"), BAD_KIND)]
+              + [(("modalities", i), NOT_STRING) for i in (0, 1)]
+              + [(("modalities", i, k), NOT_STRING) for i in (0, 1) for k in ENTRY_KEYS],
+}
+SPEC_FAULTS = {
+    "drop": [("rank",), ("tensors",)] + [("tensors", 0, k)
+                                         for k in ("id", "modalities", "distribution")],
+    "retype": [((), NOT_STRING), (("tensors",), NOT_LIST), (("tensors", 0), NOT_STRING),
+               (("tensors", 0, "modalities"), NOT_LIST),
+               (("tensors", 0, "distribution"), NOT_STRING),
+               (("tensors", 0, "modalities", 1), NOT_STRING),
+               (("rank",), NOT_NUMBER), (("seed",), NOT_NUMBER)]
+              + [(("regularizer", k), NOT_NUMBER) for k in ("gamma", "alpha", "beta", "theta")]
+              + [(("solver", k), NOT_NUMBER) for k in ("max_sweeps", "tol", "step0", "backtrack",
+                                                       "max_halvings", "log_every")],
+}
+
+
+@st.composite
+def broken(draw, doc, faults):
+    """The JSON text of doc with one fault: a required key dropped, a value of a
+    type it may not take, or the text cut short."""
+    how = draw(st.sampled_from(["drop", "retype", "cut"]))
+    text = json.dumps(doc)
+    if how == "cut":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if how == "drop":
+        path = draw(st.sampled_from(faults["drop"]))
+    else:
+        path, wrong = draw(st.sampled_from(faults["retype"]))
+        value = draw(wrong)
+        if not path:
+            return json.dumps(value)
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if how == "drop":
+        del node[last]
+    else:
+        node[last] = value
+    return json.dumps(doc)
+
+
+MALFORMED_FUZZ = settings(max_examples=150, deadline=None,
+                          suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestMalformedInputFuzz:
+    @MALFORMED_FUZZ
+    @given(data=st.data())
+    def test_manifest_exits_2_or_3(self, dataset, data):
+        code, stderr = train_on(dataset, manifest_text=data.draw(broken(dataset[1],
+                                                                       MANIFEST_FAULTS)))
+        assert code in (2, 3)
+        assert stderr.count("\n") == 1
+
+    @MALFORMED_FUZZ
+    @given(data=st.data())
+    def test_spec_exits_2_or_3(self, dataset, data):
+        code, stderr = train_on(dataset, spec_text=data.draw(broken(dataset[2], SPEC_FAULTS)))
+        assert code in (2, 3)
+        assert stderr.count("\n") == 1
+
+
+def test_correspondence_csv_quotes_ids(tmp_path):
+    items = {"A": ["Sodium Chloride 0.9%, Flush", '4" gauze', "plain"],
+             "B": ['say "when"', "x,y", "z"]}
+    rng = np.random.default_rng(1)
+    patients = [f"Doe, J{i}" for i in range(12)]
+    observations = {name: ObservationMatrix(name, patients, ids,
+                                            ObservationKind.parse("poisson-integer"),
+                                            rng.poisson(2.0, (12, 3)).astype(float))
+                    for name, ids in items.items()}
+    manifest = save_observations(observations, tmp_path / "data")
+    spec = write_quick_spec(tmp_path / "spec.json", max_sweeps=5)
+    assert run("train", "--manifest", manifest, "--spec", spec,
+               "--out", str(tmp_path / "model")) == 0
+    out = tmp_path / "corr.csv"
+    assert run("correspondence", "--manifest", manifest, "--model", str(tmp_path / "model"),
+               "--anchor", "A:" + items["A"][0], "--target", "B", "--out", str(out)) == 0
+    with open(out, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header[:4] == ["anchor_modality", "anchor_item", "target_modality", "target_item"]
+    assert {tuple(r[:3]) for r in rows} == {("A", items["A"][0], "B")}
+    assert sorted(r[3] for r in rows) == sorted(items["B"])

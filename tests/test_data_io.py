@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from margfact import (IngestionError, InteractionTensorSpec, ModelSpec,
                       ObservationKind, ObservationMatrix, binarize, load_observations,
                       save_observations, split_train_test, synth_generate)
-from margfact.data_io import load_labels, save_labels
+from margfact.data_io import (load_labels, read_factor_csv, save_labels,
+                              write_factor_csv)
 
 from helpers import make_obs
 
@@ -98,6 +99,43 @@ class TestLoadSave:
         labels = np.array([0, 1, 1, 0, 0, 1])
         save_labels(tmp_path / "labels.csv", ids, labels)
         np.testing.assert_array_equal(load_labels(tmp_path / "labels.csv", ids), labels)
+
+
+# free-text ids as EHR exports hold them: commas, double quotes, both, and
+# a lone quote or comma
+PATIENTS = ["Doe, Jane", 'P "J" 7', "p3", '"', ","]
+ITEMS = ["Sodium Chloride 0.9%, Flush", '4" gauze', 'a,"b",c', "plain"]
+
+
+class TestQuotedIds:
+    def test_observations_round_trip(self, tmp_path):
+        rng = np.random.default_rng(3)
+        obs = {"Rx": ObservationMatrix("Rx", PATIENTS, ITEMS,
+                                       ObservationKind.parse("poisson-integer"),
+                                       rng.poisson(1.0, size=(5, 4)).astype(float))}
+        loaded = load_observations(save_observations(obs, tmp_path / "data"))
+        assert loaded["Rx"].shared_ids == PATIENTS
+        assert loaded["Rx"].item_ids == ITEMS
+        np.testing.assert_array_equal(loaded["Rx"].values, obs["Rx"].values)
+
+    def test_labels_round_trip(self, tmp_path):
+        labels = np.array([1, 0, 1, 0, 0])
+        save_labels(tmp_path / "labels.csv", PATIENTS, labels)
+        np.testing.assert_array_equal(load_labels(tmp_path / "labels.csv", PATIENTS), labels)
+
+    def test_factor_csv_round_trip(self, tmp_path):
+        U = np.random.default_rng(4).uniform(size=(4, 3))
+        write_factor_csv(tmp_path / "B.csv", ITEMS, U)
+        ids, got = read_factor_csv(tmp_path / "B.csv")
+        assert ids == ITEMS
+        np.testing.assert_array_equal(got, U)
+
+    def test_unquoted_ids_written_as_before(self, tmp_path):
+        obs = {"Rx": make_obs("Rx", [[0.0, 2.0]], "poisson", "integer")}
+        save_observations(obs, tmp_path)
+        assert (tmp_path / "Rx.csv").read_text() == "patient_id,item_id,value\np0,Rx_1,2\n"
+        write_factor_csv(tmp_path / "f.csv", ["p0"], [[0.1, 2.0]])
+        assert (tmp_path / "f.csv").read_text() == "entity_id,f1,f2\np0,0.10000000000000001,2\n"
 
 
 KIND_VALUES = {

@@ -1,17 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 
 from margfact import (ConfigurationError, GaussianParams, IngestionError,
                       InteractionTensorSpec, ModelSpec, ObservationKind,
-                      RegularizerConfig, angular_penalty, build_model, elastic_net,
-                      gradient_block, load_model, marginalize, nll, objective,
-                      project_patients, reconstruct_full, reconstruct_marginal,
-                      save_model)
+                      RegularizerConfig, SolverConfig, angular_penalty, build_model,
+                      elastic_net, gradient_block, load_model, nll, objective,
+                      project_patients, reconstruct_marginal, save_model)
 from margfact.model import SHARED
 from margfact.solver import train
 
 from conftest import assert_grad_close, central_difference
-from helpers import make_obs, poisson_pair_model, small_mixed_model
+from helpers import (make_obs, marginalize, poisson_pair_model, reconstruct_full,
+                     small_mixed_model)
 
 
 class TestBuildModel:
@@ -313,6 +315,40 @@ class TestPersistence:
         path.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
         with pytest.raises(IngestionError, match="B.csv"):
             load_model(tmp_path / "model", model.observations)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "entity_id\n", "entity_id,f1,f2\nB_0,1\n",
+                                      "entity_id,f1,f2\nB_0,x,1\n"])
+    def test_load_rejects_malformed_factor_file(self, tmp_path, text):
+        model = poisson_pair_model(seed=8, n_patients=6, max_sweeps=2)
+        save_model(model, tmp_path / "model")
+        (tmp_path / "model" / "B.csv").write_text(text)
+        with pytest.raises(IngestionError, match="B.csv"):
+            load_model(tmp_path / "model", model.observations)
+
+    def test_ids_with_commas_and_quotes_round_trip(self, tmp_path):
+        rng = np.random.default_rng(2)
+        patients = ["Doe, Jane", 'P "J" 7', "p3", "p4"]
+        obs = {"A": make_obs("A", rng.poisson(2.0, (4, 3)).astype(float), "poisson",
+                             "integer", patients),
+               "B": make_obs("B", rng.poisson(2.0, (4, 2)).astype(float), "poisson",
+                             "integer", patients)}
+        obs["B"].item_ids = ["Sodium Chloride 0.9%, Flush", '4" gauze']
+        spec = ModelSpec(rank=2, tensors=[InteractionTensorSpec("ab", ["A", "B"], "poisson")])
+        model = build_model(spec, obs)
+        train(model, SolverConfig(max_sweeps=3))
+        save_model(model, tmp_path / "model")
+        loaded = load_model(tmp_path / "model", obs)
+        np.testing.assert_array_equal(loaded.shared, model.shared)
+        np.testing.assert_array_equal(loaded.factors["B"], model.factors["B"])
+
+    def test_old_spec_with_armijo_c_loads(self, tmp_path):
+        model = small_mixed_model()
+        doc = model.spec.to_dict()
+        assert "armijo_c" not in doc["solver"]
+        doc["solver"]["armijo_c"] = 1e-4
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        assert ModelSpec.load(path).to_dict() == model.spec.to_dict()
 
     def test_spec_json_round_trip(self, tmp_path):
         model = small_mixed_model()

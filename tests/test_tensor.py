@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from margfact import (ConfigurationError, OracleScaleError, marginalize,
-                      reconstruct_full, reconstruct_marginal, reconstruct_slice)
-from margfact.tensor import read_factor_csv, write_factor_csv
+from margfact import ConfigurationError, reconstruct_marginal, reconstruct_slice
+from margfact.data_io import read_factor_csv, write_factor_csv
+
+from helpers import OracleScaleError, marginalize, reconstruct_full
 
 
 def triple_loop_reconstruct(factors):

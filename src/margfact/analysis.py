@@ -110,12 +110,11 @@ def _cosine_pair_sum(U):
     return float(np.sum(cos[upper_pairs(U.shape[1])]))
 
 
-def cosine_similarity_metric(factors, ordered_pairs_normalizer=True):
+def cosine_similarity_metric(factors):
     """Average pairwise column cosine over modality factors.
 
     The printed convention divides the sum over unordered pairs by
-    N * R * (R - 1), the ordered-pair count; pass
-    ordered_pairs_normalizer=False for the unordered variant.
+    N * R * (R - 1), the ordered-pair count.
     """
     factors = list(factors.values()) if isinstance(factors, dict) else list(factors)
     R = factors[0].shape[1]
@@ -123,10 +122,7 @@ def cosine_similarity_metric(factors, ordered_pairs_normalizer=True):
         raise ValueError("cosine similarity metric needs rank >= 2")
     N = len(factors)
     total = sum(_cosine_pair_sum(U) for U in factors)
-    denom = N * R * (R - 1)
-    if not ordered_pairs_normalizer:
-        denom //= 2
-    return total / denom
+    return total / (N * R * (R - 1))
 
 
 def top_k_items(phenotype, k=10):
@@ -138,7 +134,7 @@ def top_k_items(phenotype, k=10):
     return out
 
 
-def jaccard_at_k(phenotypes, k=10, ordered_pairs_normalizer=True):
+def jaccard_at_k(phenotypes, k=10):
     """Mean pairwise Jaccard of top-k item unions, printed normalizer R(R-1)."""
     R = len(phenotypes)
     if R < 2:
@@ -150,10 +146,7 @@ def jaccard_at_k(phenotypes, k=10, ordered_pairs_normalizer=True):
             union = sets[r1] | sets[r2]
             if union:
                 total += len(sets[r1] & sets[r2]) / len(union)
-    denom = R * (R - 1)
-    if not ordered_pairs_normalizer:
-        denom //= 2
-    return total / denom
+    return total / (R * (R - 1))
 
 
 def sparsity(factors):

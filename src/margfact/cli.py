@@ -4,11 +4,13 @@ Exit codes: 0 success, 2 usage, 3 ingestion, 4 numeric failure.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
 from . import analysis, data_io, evaluate
 from .errors import ConfigurationError, IngestionError, NumericError
+from .likelihoods import VALID_KINDS
 from .model import InteractionTensorSpec, ModelSpec, build_model, load_model, save_model
 from .solver import train
 
@@ -28,7 +30,7 @@ def _parse_modality_token(token):
         size = int(size)
     except ValueError:
         raise ConfigurationError(f"bad size in --modality token {token!r}")
-    if datatype not in ("integer", "binary", "real") or distribution not in ("poisson", "gaussian"):
+    if (distribution, datatype) not in VALID_KINDS:
         raise ConfigurationError(f"bad kind in --modality token {token!r}")
     return name, size, datatype, distribution
 
@@ -67,9 +69,11 @@ def _load_model(args):
 def cmd_train(args):
     observations = data_io.load_observations(args.manifest)
     spec = ModelSpec.load(args.spec)
-    spec.init_seed = args.seed if args.seed is not None else spec.init_seed
-    if args.max_sweeps is not None:
-        spec.solver.max_sweeps = args.max_sweeps
+    # replace() re-runs the spec's validation on the overrides
+    solver_cfg = (spec.solver if args.max_sweeps is None
+                  else dataclasses.replace(spec.solver, max_sweeps=args.max_sweeps))
+    spec = dataclasses.replace(spec, solver=solver_cfg,
+                               init_seed=spec.init_seed if args.seed is None else args.seed)
     model = build_model(spec, observations)
     report = train(model, spec.solver)
     save_model(model, args.out)

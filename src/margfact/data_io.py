@@ -7,9 +7,11 @@ patient-by-item arrays with ordered id lists. Fitted factors are CSVs
 
 CSV writers quote an id by the csv rules, only where it holds a comma, a
 double quote or a line break, and every CSV reader parses with csv.reader,
-so any id round-trips. A file that cannot be read, or whose content is
-malformed, raises IngestionError naming it; a file or directory that
-cannot be written raises ConfigurationError.
+so any id round-trips through a CSV. A vocabulary file holds one item id
+per line, as written, so an item id may not be empty or hold a line break.
+A file that cannot be read, or whose content is malformed, raises
+IngestionError naming it; a file or directory that cannot be written
+raises ConfigurationError.
 """
 
 import contextlib
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigurationError, IngestionError
 from .likelihoods import (BINARY, INTEGER, POISSON, REAL, GaussianParams,
-                          ObservationKind, erf)
+                          ObservationKind, gaussian_binary_prob)
 from .tensor import multiplicity, reconstruct_marginal
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
@@ -51,6 +53,14 @@ def _field(value):
     """value as a CSV field: quoted, with inner quotes doubled, where it needs quotes."""
     s = str(value)
     return '"' + s.replace('"', '""') + '"' if _NEEDS_QUOTES.search(s) else s
+
+
+def check_modality_name(name, error):
+    """Raise error unless name can name a modality: its files are <name>.csv
+    and <name>.vocab.txt, beside a model's shared.csv, in one directory."""
+    if not isinstance(name, str) or name in ("", "shared", ".", "..") or {"/", "\\"} & set(name):
+        raise error(f"bad modality name {name!r}: it must be a non-empty string other than "
+                    "'shared', '.' and '..', without '/' or '\\'")
 
 
 def read_json(path):
@@ -101,7 +111,7 @@ def _read_vocab(path):
     first_line = {}  # item -> line number, in file order
     with _open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            item = line.strip()
+            item = line.rstrip("\r\n")
             if item in first_line:
                 raise IngestionError(f"{path}:{lineno}: duplicate vocabulary item {item!r} "
                                      f"(first on line {first_line[item]})")
@@ -178,8 +188,13 @@ def load_observations(manifest_path):
                 and all(isinstance(p, str) for p in patients)):
             raise IngestionError(f"{manifest_path}: 'modalities' must be a non-empty list "
                                  "and 'patients' a list of ids")
-        files = {e["name"]: (ObservationKind.parse(e["kind"]), os.path.join(base, e["path"]),
-                             os.path.join(base, e["vocab_path"])) for e in entries}
+        files = {}
+        for e in entries:
+            check_modality_name(e["name"], ValueError)
+            if e["name"] in files:
+                raise ValueError(f"modality {e['name']!r} listed twice")
+            files[e["name"]] = (ObservationKind.parse(e["kind"]), os.path.join(base, e["path"]),
+                                os.path.join(base, e["vocab_path"]))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise IngestionError(f"{manifest_path}: malformed manifest "
                              f"({type(exc).__name__}: {exc})") from exc
@@ -208,6 +223,11 @@ def load_observations(manifest_path):
 
 def save_observations(observations, out_dir):
     """Write manifest + triplet/vocab files; inverse of load_observations."""
+    for name, obs in observations.items():  # every check before the first write
+        check_modality_name(name, ConfigurationError)
+        if any(not it or "\n" in it or "\r" in it for it in map(str, obs.item_ids)):
+            raise ConfigurationError(f"modality {name!r}: an item id is empty or holds a line "
+                                     "break, which a vocabulary file cannot carry")
     entries = []
     for name, obs in observations.items():
         triplet_path = f"{name}.csv"
@@ -358,6 +378,17 @@ def class_permutations(labels, rng):
     return [m[rng.permutation(len(m))] for m in members]
 
 
+def stratified_split(labels, share, rng):
+    """(first, rest), both sorted: first holds the first max(1, round(share * n))
+    indices of each class permutation, rest the others."""
+    first, rest = [], []
+    for perm in class_permutations(labels, rng):
+        cut = max(1, int(round(share * len(perm))))
+        first.append(perm[:cut])
+        rest.append(perm[cut:])
+    return np.sort(np.concatenate(first)), np.sort(np.concatenate(rest))
+
+
 def split_train_test(observations, labels=None, ratio=0.8, seed=0, stratify=False):
     """Partition patients by a seeded shuffle; all modalities split consistently."""
     if not (0.0 < ratio < 1.0):
@@ -367,12 +398,7 @@ def split_train_test(observations, labels=None, ratio=0.8, seed=0, stratify=Fals
         raise ValueError("need at least 2 patients to split")
     rng = np.random.default_rng(seed)
     if stratify and labels is not None:
-        train_idx, test_idx = [], []
-        for perm in class_permutations(labels, rng):
-            cut = int(round(ratio * len(perm)))
-            train_idx.extend(perm[:cut])
-            test_idx.extend(perm[cut:])
-        train_idx, test_idx = sorted(train_idx), sorted(test_idx)
+        train_idx, test_idx = stratified_split(labels, ratio, rng)
     else:
         perm = rng.permutation(n)
         cut = int(round(ratio * n))
@@ -440,14 +466,12 @@ def synth_generate(model_spec, modality_sizes, datatypes, n_patients,
                 else:
                     values = (rng.uniform(size=vhat.shape) < -np.expm1(-vhat)).astype(float)
             else:
-                t_n = multiplicity(blocks, k)
-                std = math.sqrt(t_n * tensor.sigma2) if tensor.sigma2 > 0 else 0.0
+                params = GaussianParams(tensor.sigma2, multiplicity(blocks, k))
                 if dtype == REAL:
+                    std = math.sqrt(params.t_n * params.sigma2)
                     values = np.maximum(0.0, vhat + std * rng.standard_normal(vhat.shape))
                 else:
-                    params = GaussianParams(max(tensor.sigma2, 1e-300), t_n)
-                    denom = math.sqrt(2.0 * params.t_n) * math.sqrt(params.sigma2)
-                    p = 0.5 - 0.5 * erf(-vhat / denom)
+                    p = gaussian_binary_prob(vhat, params)
                     values = (rng.uniform(size=vhat.shape) < p).astype(float)
             item_ids = [f"{name}_{j}" for j in range(vhat.shape[1])]
             observations[name] = ObservationMatrix(name, shared_ids, item_ids, kind, values)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .data_io import _take_patients, class_permutations
+from .data_io import _take_patients, class_permutations, stratified_split
 from .model import build_model, project_patients
 from .solver import train
 
@@ -74,21 +74,11 @@ def auprc(scores, labels):
         raise ValueError("both classes must be present")
     order = np.argsort(-scores, kind="stable")
     s, y = scores[order], labels[order]
-    ap = 0.0
-    tp = 0
-    seen = 0
-    i = 0
-    while i < len(s):
-        j = i
-        while j < len(s) and s[j] == s[i]:
-            j += 1
-        group_pos = int(y[i:j].sum())
-        tp += group_pos
-        seen += j - i
-        if group_pos:
-            ap += group_pos * (tp / seen)
-        i = j
-    return ap / n_pos
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])  # one run per tied score
+    group_pos = np.add.reduceat(y, starts)
+    tp, seen = np.cumsum(group_pos), np.append(starts[1:], len(s))
+    # Python's sum adds left to right, as a running total does; a group with no positive adds 0
+    return sum((group_pos * (tp / seen)).tolist()) / n_pos
 
 
 def _stratified_folds(labels, n_folds, seed):
@@ -136,11 +126,7 @@ def five_fold_cv(observations, labels, model_spec, solver_cfg=None, n_folds=5, s
 
 def _select_lambda(X, y, seed):
     """Pick lambda by AUPRC on a stratified inner 80/20 validation split."""
-    val_idx = []
-    for perm in class_permutations(y, np.random.default_rng(seed)):
-        val_idx.extend(perm[:max(1, int(round(0.2 * len(perm))))])
-    val_idx = sorted(val_idx)
-    fit_idx = sorted(set(range(len(y))) - set(val_idx))
+    val_idx, fit_idx = stratified_split(y, 0.2, np.random.default_rng(seed))
     if len(np.unique(y[fit_idx])) < 2 or len(np.unique(y[val_idx])) < 2:
         return LAMBDA_GRID[0]
     best_lam, best_score = LAMBDA_GRID[0], -1.0

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import likelihoods as lk
-from .data_io import load_factors, read_json, save_factors, write_json
+from .data_io import check_modality_name, load_factors, read_json, save_factors, write_json
 from .errors import ConfigurationError
 from .regularizers import (RegularizerConfig, angular_penalty,
                            angular_penalty_grad, elastic_net, elastic_net_grad)
@@ -31,8 +31,9 @@ from .tensor import marginal_scales, multiplicity, reconstruct_marginal
 
 SHARED = "__shared__"
 
-#: Armijo sufficient-decrease constant of the projected line search
+#: Armijo sufficient-decrease constant and step shrink factor of the projected line search
 ARMIJO_C = 1e-4
+BACKTRACK = 0.5
 
 #: A Poisson term is evaluated on its observed cells alone when fewer than
 #: this share of its cells are nonzero. Measured on one core for 500x30
@@ -51,8 +52,8 @@ class InteractionTensorSpec:
     sigma2: float = None
 
     def __post_init__(self):
-        if not all(isinstance(m, str) for m in self.modalities):
-            raise ConfigurationError(f"tensor {self.id!r}: modality names must be strings")
+        for m in self.modalities:
+            check_modality_name(m, ConfigurationError)
         if len(self.modalities) < 1:
             raise ConfigurationError(f"tensor {self.id!r} must reference at least one modality")
         if self.distribution not in (lk.POISSON, lk.GAUSSIAN):
@@ -66,7 +67,6 @@ class SolverConfig:
     max_sweeps: int = 5000
     tol: float = 1e-6
     step0: float = 1e-2  # the first step only: later searches start where the last one ended
-    backtrack: float = 0.5
     max_halvings: int = 30
     log_every: int = 10
 
@@ -77,17 +77,17 @@ class SolverConfig:
                 raise ConfigurationError(f"solver config: {f.name} must be "
                                          f"{'an integer' if integral else 'a number'}, "
                                          f"got {value!r}")
-        if self.tol <= 0 or self.step0 <= 0 or not (0.0 < self.backtrack < 1.0) \
-                or self.log_every < 1:
-            raise ConfigurationError("solver config: tol > 0, step0 > 0, 0 < backtrack < 1 "
-                                     "and log_every >= 1 required")
+        if (self.max_sweeps < 0 or self.tol <= 0 or self.step0 <= 0 or self.max_halvings < 0
+                or self.log_every < 1):
+            raise ConfigurationError("solver config: max_sweeps >= 0, tol > 0, step0 > 0, "
+                                     "max_halvings >= 0 and log_every >= 1 required")
 
     def to_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d):
-        """Inverse of to_dict; keys that are not fields (an old armijo_c) are ignored."""
+        """Inverse of to_dict; keys that are not fields (old armijo_c, backtrack) are ignored."""
         return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
@@ -302,13 +302,12 @@ class Model:
                    term.kind, term.params)
 
 
-def build_model(spec, observations):
-    """Validate spec against observations and allocate uniform(0,1) factors."""
-    shared_ids = None
+def _check_observations(spec, observations):
+    """The patient ids all observations share; spec's modalities must be present,
+    each with a datatype its tensor's distribution allows."""
+    shared_ids = next((obs.shared_ids for obs in observations.values()), None)
     for name, obs in observations.items():
-        if shared_ids is None:
-            shared_ids = obs.shared_ids
-        elif obs.shared_ids != shared_ids:
+        if obs.shared_ids != shared_ids:
             raise ConfigurationError(f"modality {name!r}: shared ids differ from other modalities")
     for tensor in spec.tensors:
         for name in tensor.modalities:
@@ -319,10 +318,14 @@ def build_model(spec, observations):
                 raise ConfigurationError(
                     f"modality {name!r}: datatype {pair[1]!r} incompatible with "
                     f"distribution {pair[0]!r} of tensor {tensor.id!r}")
+    return shared_ids
 
+
+def build_model(spec, observations):
+    """Validate spec against observations and allocate uniform(0,1) factors."""
+    shared_ids = _check_observations(spec, observations)
     rng = np.random.default_rng(spec.init_seed)
-    n_patients = len(shared_ids)
-    shared = rng.uniform(size=(n_patients, spec.rank))
+    shared = rng.uniform(size=(len(shared_ids), spec.rank))
     factors = {name: rng.uniform(size=(observations[name].n_items, spec.rank))
                for name in spec.modality_order}
     return Model(spec, observations, shared, factors)
@@ -365,7 +368,7 @@ def projected_step(values, grad, eval_objective, f_current, cfg, eta=None):
     """One backtracked projected gradient step, on a block or on its rows.
 
     Candidate = max(0, values - eta * grad); eta starts at the given step
-    (cfg.step0 when None) and is multiplied by cfg.backtrack until the
+    (cfg.step0 when None) and is multiplied by BACKTRACK until the
     projected-direction Armijo condition holds or the halving budget is
     spent, and then the values stay unchanged. A scalar f_current makes the
     whole block one problem, and eval_objective(candidate) returns its
@@ -378,7 +381,7 @@ def projected_step(values, grad, eval_objective, f_current, cfg, eta=None):
     accepted, unchanged, with no evaluation. Returns (new_values,
     new_objective, accepted, next_eta), the last three shaped like
     f_current. next_eta is where the next search should start (Lin 2007):
-    the accepted step / cfg.backtrack, so the step can grow; the smallest
+    the accepted step / BACKTRACK, so the step can grow; the smallest
     step tried after a rejected search, so it keeps shrinking; and the given
     step for a stationary block or row.
     """
@@ -408,9 +411,9 @@ def projected_step(values, grad, eval_objective, f_current, cfg, eta=None):
             out[ok] = trial[ok]
             f = np.where(ok, f_trial, f)
             pending &= ~ok
-            next_eta[ok] = eta[ok] / cfg.backtrack
+            next_eta[ok] = eta[ok] / BACKTRACK
         next_eta[pending] = eta[pending]
-        eta *= cfg.backtrack
+        eta *= BACKTRACK
     if not by_row:  # plain float and bool, as the JSON step log needs
         return out.reshape(values.shape), float(f[0]), not pending[0], float(next_eta[0])
     return out.reshape(values.shape), f, ~pending, next_eta
@@ -425,19 +428,16 @@ def project_patients(model, new_obs, cfg=None):
     at first). A row stops once a sweep lowers its NLL by less than cfg.tol
     (relative); each sweep differentiates and evaluates only the rows still
     active. Cold start at the column means of the trained shared factor.
+    new_obs must pass build_model's checks and match the training datatypes and item order.
     """
     cfg = cfg or model.spec.solver
-    for tensor in model.spec.tensors:
-        for name in tensor.modalities:
-            if name not in new_obs:
-                raise ConfigurationError(f"projection input missing modality {name!r}")
-            obs = new_obs[name]
-            if obs.kind.datatype != model.observations[name].kind.datatype:
-                raise ConfigurationError(f"modality {name!r}: datatype differs from training data")
-            if obs.n_items != model.observations[name].n_items:
-                raise ConfigurationError(f"modality {name!r}: item dimension differs from training data")
+    n_new = len(_check_observations(model.spec, new_obs))
+    for name in model.spec.modality_order:
+        obs, trained = new_obs[name], model.observations[name]
+        if (obs.kind.datatype, obs.item_ids) != (trained.kind.datatype, trained.item_ids):
+            raise ConfigurationError(f"modality {name!r}: datatype or item ids (in order) "
+                                     "differ from the training data")
 
-    n_new = len(next(iter(new_obs.values())).shared_ids)
     S = np.tile(np.maximum(model.shared.mean(axis=0), 1e-6), (n_new, 1))
     terms = Model(model.spec, new_obs, S, model.factors).compiled_terms()
 

@@ -142,12 +142,6 @@ class TestCosineSimilarityMetric:
             val = cosine_similarity_metric(factors)
             assert 0.0 <= val <= 0.5
 
-    def test_unordered_variant_doubles(self):
-        rng = np.random.default_rng(2)
-        factors = [rng.uniform(size=(5, 3))]
-        assert cosine_similarity_metric(factors, ordered_pairs_normalizer=False) == pytest.approx(
-            2 * cosine_similarity_metric(factors))
-
 
 class TestJaccardAtK:
     def _pheno(self, index, items):

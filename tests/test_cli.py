@@ -75,6 +75,13 @@ class TestSynth:
         code = run("synth", "--modality", "A:4:integer", "--out", str(tmp_path / "x"))
         assert code == 2
 
+    def test_invalid_kind_pair_usage_error(self, tmp_path, capsys):
+        code = run("synth", "--modality", "A:4:integer:gaussian", "--out", str(tmp_path / "x"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_flag_usage_error(self, tmp_path):
         code = run("synth", "--modality", "A:4:integer:poisson",
                    "--out", str(tmp_path / "x"), "--no-such-flag")
@@ -98,6 +105,18 @@ class TestTrain:
             assert run("train", "--manifest", manifest, "--spec", spec,
                        "--out", str(tmp_path / out)) == 0
         assert read_bytes_by_name(tmp_path / "m1") == read_bytes_by_name(tmp_path / "m2")
+
+    @pytest.mark.parametrize("flag", ["--seed", "--max-sweeps"])
+    def test_negative_override_usage_error(self, tmp_path, capsys, flag):
+        manifest = synth_dataset(tmp_path / "data")
+        spec = write_quick_spec(tmp_path / "spec.json")
+        capsys.readouterr()
+        code = run("train", "--manifest", manifest, "--spec", spec,
+                   "--out", str(tmp_path / "model"), flag, "-1")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not (tmp_path / "model").exists()
 
     def test_missing_manifest_is_ingestion_error(self, tmp_path):
         spec = write_quick_spec(tmp_path / "spec.json")
@@ -376,6 +395,16 @@ class TestMalformedInput:
         assert code in (2, 3)
         assert stderr.count("\n") == 1 and "case_spec.json" in stderr
 
+    @pytest.mark.parametrize("name", ["shared", "../esc", "A"])
+    def test_manifest_modality_name_is_ingestion_error(self, dataset, name):
+        def rename_or_repeat(m):  # "A" names the first modality twice
+            m["modalities"][1 if name == "A" else 0]["name"] = name
+
+        code, stderr = train_on(dataset, manifest_text=edited(dataset[1], rename_or_repeat))
+        assert code == 3
+        assert stderr.startswith("ingestion error: ") and stderr.count("\n") == 1
+        assert "case_manifest.json" in stderr
+
     def test_directory_as_manifest_is_ingestion_error(self, tmp_path, capsys):
         spec = write_quick_spec(tmp_path / "spec.json")
         code = run("train", "--manifest", str(tmp_path), "--spec", spec,
@@ -419,7 +448,7 @@ SPEC_FAULTS = {
                (("tensors", 0, "modalities", 1), NOT_STRING),
                (("rank",), NOT_NUMBER), (("seed",), NOT_NUMBER)]
               + [(("regularizer", k), NOT_NUMBER) for k in ("gamma", "alpha", "beta", "theta")]
-              + [(("solver", k), NOT_NUMBER) for k in ("max_sweeps", "tol", "step0", "backtrack",
+              + [(("solver", k), NOT_NUMBER) for k in ("max_sweeps", "tol", "step0",
                                                        "max_halvings", "log_every")],
 }
 

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from margfact import (IngestionError, InteractionTensorSpec, ModelSpec,
+from margfact import (ConfigurationError, IngestionError, InteractionTensorSpec, ModelSpec,
                       ObservationKind, ObservationMatrix, binarize, load_observations,
                       save_observations, split_train_test, synth_generate)
-from margfact.data_io import (load_labels, read_factor_csv, save_labels,
-                              write_factor_csv)
+from margfact.data_io import (load_labels, read_factor_csv, read_json, save_labels,
+                              stratified_split, write_factor_csv, write_json)
 
 from helpers import make_obs
 
@@ -136,6 +136,62 @@ class TestQuotedIds:
         assert (tmp_path / "Rx.csv").read_text() == "patient_id,item_id,value\np0,Rx_1,2\n"
         write_factor_csv(tmp_path / "f.csv", ["p0"], [[0.1, 2.0]])
         assert (tmp_path / "f.csv").read_text() == "entity_id,f1,f2\np0,0.10000000000000001,2\n"
+
+
+class TestNames:
+    def test_item_ids_keep_their_whitespace(self, tmp_path):
+        items = [" lead", "trail ", "in side", "\ttab"]
+        obs = {"Rx": ObservationMatrix("Rx", ["p0", " p1"], items,
+                                       ObservationKind.parse("poisson-integer"),
+                                       [[1.0, 0.0, 2.0, 0.0], [0.0, 3.0, 0.0, 1.0]])}
+        loaded = load_observations(save_observations(obs, tmp_path))
+        assert loaded["Rx"].item_ids == items and loaded["Rx"].shared_ids == ["p0", " p1"]
+        np.testing.assert_array_equal(loaded["Rx"].values, obs["Rx"].values)
+
+    @pytest.mark.parametrize("item", ["a\nb", "a\r", "\r\nb", ""])
+    def test_item_id_a_vocabulary_line_cannot_hold_rejected(self, tmp_path, item):
+        obs = {"Dx": make_obs("Dx", [[1.0]], "poisson", "integer"),
+               "Rx": ObservationMatrix("Rx", ["p0"], ["x", item],
+                                       ObservationKind.parse("poisson-integer"), [[1.0, 2.0]])}
+        with pytest.raises(ConfigurationError, match="'Rx'"):
+            save_observations(obs, tmp_path / "out")
+        assert not (tmp_path / "out").exists()  # nothing written, Dx's files included
+
+    @pytest.mark.parametrize("name", ["../esc", "shared", "", ".."])
+    def test_save_rejects_modality_name_that_escapes_or_clashes(self, tmp_path, name):
+        obs = {name: make_obs("A", [[1.0]], "poisson", "integer")}
+        with pytest.raises(ConfigurationError, match="modality name"):
+            save_observations(obs, tmp_path / "out")
+        assert not (tmp_path / "esc.csv").exists() and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", ["shared", "../esc", "a\\b", ".", "twice"])
+    def test_manifest_with_bad_or_repeated_name_rejected(self, tmp_path, case):
+        manifest = save_observations(two_modality_obs(), tmp_path)
+        doc = read_json(manifest)
+        if case == "twice":
+            doc["modalities"].append(dict(doc["modalities"][0]))
+        else:
+            doc["modalities"][0]["name"] = case
+        write_json(manifest, doc)
+        with pytest.raises(IngestionError, match=re.escape(manifest)):
+            load_observations(manifest)
+
+
+class TestStratifiedSplit:
+    def test_first_holds_a_share_of_each_class(self):
+        labels = np.array([0] * 7 + [1] * 3 + [0] * 5)
+        for share, n_first in ((0.2, (2, 1)), (0.8, (10, 2)), (0.1, (1, 1))):
+            first, rest = stratified_split(labels, share, np.random.default_rng(4))
+            assert np.all(np.diff(first) > 0) and np.all(np.diff(rest) > 0)
+            assert sorted(np.concatenate([first, rest])) == list(range(15))
+            assert (np.sum(labels[first] == 0), np.sum(labels[first] == 1)) == n_first
+
+    def test_split_keeps_one_patient_of_a_small_class_in_train(self):
+        obs = two_modality_obs(n=10)
+        labels = np.array([0] * 9 + [1])
+        (_, y_train), (_, y_test) = split_train_test(obs, labels, ratio=0.4, seed=0,
+                                                     stratify=True)
+        assert y_train.sum() == 1 and y_test.sum() == 0 and len(y_train) == 5
 
 
 KIND_VALUES = {

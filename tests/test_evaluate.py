@@ -96,6 +96,32 @@ class TestAuprc:
             ap /= labels.sum()
             assert auprc(scores, labels) == pytest.approx(ap, abs=1e-12)
 
+    def test_equals_tie_group_loop_bit_for_bit(self):
+        def loop(scores, labels):  # one tie group at a time, a running total
+            order = np.argsort(-scores, kind="stable")
+            s, y = scores[order], labels[order]
+            ap, tp, seen, i = 0.0, 0, 0, 0
+            while i < len(s):
+                j = i
+                while j < len(s) and s[j] == s[i]:
+                    j += 1
+                group_pos = int(y[i:j].sum())
+                tp += group_pos
+                seen += j - i
+                if group_pos:
+                    ap += group_pos * (tp / seen)
+                i = j
+            return ap / labels.sum()
+
+        rng = np.random.default_rng(6)
+        for trial in range(300):
+            n = int(rng.integers(2, 200))
+            labels = (rng.uniform(size=n) < rng.uniform(0.05, 0.95)).astype(int)
+            labels[:2] = (0, 1)
+            levels = (2, 7, n)[trial % 3]  # few tie groups, some, or mostly distinct
+            scores = rng.integers(0, levels, size=n) / levels
+            assert auprc(scores, labels) == loop(scores, labels)
+
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(5)
         scores = rng.uniform(size=20)

@@ -73,6 +73,19 @@ class TestBuildModel:
             assert np.all(U > 0) and np.all(U < 1)
 
 
+class TestSpecValidation:
+    @pytest.mark.parametrize("name", ["", "shared", ".", "..", "../esc", "a\\b", 3])
+    def test_modality_name_that_cannot_name_its_files_errors(self, name):
+        with pytest.raises(ConfigurationError, match="modality name"):
+            InteractionTensorSpec("t", ["A", name], "poisson")
+
+    @pytest.mark.parametrize("field", ["max_sweeps", "max_halvings"])
+    def test_negative_solver_count_errors(self, field):
+        assert getattr(SolverConfig(**{field: 0}), field) == 0
+        with pytest.raises(ConfigurationError, match=field):
+            SolverConfig(**{field: -1})
+
+
 class TestObjective:
     def test_regularizer_off_is_nll_sum(self):
         model = poisson_pair_model(gamma=0.0, beta=0.0)
@@ -275,6 +288,26 @@ class TestProjectPatients:
         with pytest.raises(ConfigurationError):
             project_patients(model, {"A": model.observations["A"]})
 
+    @pytest.mark.parametrize("case", ["more B patients", "fewer B patients",
+                                      "B patients reordered", "B items reordered"])
+    def test_misaligned_input_errors(self, case):
+        model = poisson_pair_model(seed=7, max_sweeps=5)
+        train(model)
+        rng = np.random.default_rng(0)
+        ids = ["n0", "n1", "n2"]
+        new = {name: make_obs(name, rng.poisson(2.0, (3, obs.n_items)).astype(float),
+                              "poisson", "integer", ids)
+               for name, obs in model.observations.items()}
+        n_items = new["B"].n_items
+        if case == "B items reordered":
+            new["B"].item_ids = new["B"].item_ids[::-1]
+        else:  # B's patients listed in reverse, as many as A's or not
+            n_b = {"more B patients": 5, "fewer B patients": 2}.get(case, 3)
+            new["B"] = make_obs("B", rng.poisson(2.0, (n_b, n_items)).astype(float),
+                                "poisson", "integer", [f"n{i}" for i in range(n_b)][::-1])
+        with pytest.raises(ConfigurationError, match="'B'"):
+            project_patients(model, new)
+
 
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
@@ -343,12 +376,13 @@ class TestPersistence:
 
     def test_old_spec_with_armijo_c_loads(self, tmp_path):
         model = small_mixed_model()
-        doc = model.spec.to_dict()
-        assert "armijo_c" not in doc["solver"]
-        doc["solver"]["armijo_c"] = 1e-4
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(doc))
-        assert ModelSpec.load(path).to_dict() == model.spec.to_dict()
+        for key, value in (("armijo_c", 1e-4), ("backtrack", 0.5)):
+            doc = model.spec.to_dict()
+            assert key not in doc["solver"]
+            doc["solver"][key] = value
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(doc))
+            assert ModelSpec.load(path).to_dict() == model.spec.to_dict()
 
     def test_spec_json_round_trip(self, tmp_path):
         model = small_mixed_model()

@@ -8,6 +8,7 @@ from margfact import (InteractionTensorSpec, ModelSpec, RegularizerConfig,
                       projected_step, reconstruct_marginal, solver,
                       synth_generate, train)
 from margfact.likelihoods import ObservationKind
+from margfact.model import BACKTRACK
 
 from helpers import make_obs, poisson_pair_model
 
@@ -169,7 +170,7 @@ class TestStepMemory:
         cfg = SolverConfig(step0=0.5)
         new, fv, accepted, nxt = projected_step(u0, u0 - target, f, f(u0), cfg)
         assert accepted and fv < f(u0)
-        assert type(nxt) is float and nxt == 0.5 / cfg.backtrack
+        assert type(nxt) is float and nxt == 0.5 / BACKTRACK
         # a search started from the returned step tries that step first
         tried = []
 
@@ -190,7 +191,7 @@ class TestStepMemory:
         new, fv, accepted, nxt = projected_step(u0, -np.ones_like(u0), f, f(u0), cfg, 0.8)
         assert not accepted and fv == f(u0)
         np.testing.assert_array_equal(new, u0)
-        assert nxt == 0.8 * cfg.backtrack ** cfg.max_halvings
+        assert nxt == 0.8 * BACKTRACK ** cfg.max_halvings
 
     def test_stationary_keeps_given_step(self):
         U = np.array([[0.0, 2.0]])
@@ -225,12 +226,12 @@ class TestStepMemory:
         # rows 0-2 grew from the step they accepted, 3 and 4 are stationary
         # and keep theirs, and row 5 ends at the smallest step it tried
         for i in range(3):
-            k = np.log2(eta[i] / (nxt[i] * cfg.backtrack))
+            k = np.log2(eta[i] / (nxt[i] * BACKTRACK))
             assert k == round(k) >= 0
-            np.testing.assert_array_equal(new[i], np.maximum(0.0, x[i] - nxt[i] * cfg.backtrack
+            np.testing.assert_array_equal(new[i], np.maximum(0.0, x[i] - nxt[i] * BACKTRACK
                                                              * grad[i]))
         assert nxt[3] == eta[3] and nxt[4] == eta[4]
-        assert not accepted[5] and nxt[5] == eta[5] * cfg.backtrack ** cfg.max_halvings
+        assert not accepted[5] and nxt[5] == eta[5] * BACKTRACK ** cfg.max_halvings
 
     def test_idle_block_step_stays_finite_without_evaluations(self):
         U = np.array([[0.0, 1.0], [2.0, 0.0]])
@@ -289,7 +290,7 @@ class TestStopReason:
 
         def shared_always_rejects(values, grad, eval_objective, f, cfg, eta):
             if values is model.shared:
-                return values.copy(), f, False, eta * cfg.backtrack
+                return values.copy(), f, False, eta * BACKTRACK
             return projected_step(values, grad, eval_objective, f, cfg, eta)
 
         monkeypatch.setattr(solver, "projected_step", shared_always_rejects)

@@ -21,6 +21,7 @@ class CorrespondenceRow:
 
     def top(self, k=10):
         """(item, score) pairs, best first; ties broken by item index."""
+        _check_k(k)
         order = np.lexsort((np.arange(len(self.scores)), -self.scores))[:k]
         return [(self.item_ids[j], float(self.scores[j])) for j in order]
 
@@ -125,8 +126,14 @@ def cosine_similarity_metric(factors):
     return total / (N * R * (R - 1))
 
 
+def _check_k(k):
+    if k < 1:
+        raise ConfigurationError(f"k must be >= 1, got {k!r}")
+
+
 def top_k_items(phenotype, k=10):
     """Union over modalities of the phenotype's top-k items, tagged by modality."""
+    _check_k(k)
     out = set()
     for name, items in phenotype.items.items():
         for item, _ in items[:k]:

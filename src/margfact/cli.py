@@ -28,8 +28,11 @@ def _parse_modality_token(token):
     name, size, datatype, distribution = parts
     try:
         size = int(size)
+        if size < 1:
+            raise ValueError
     except ValueError:
-        raise ConfigurationError(f"bad size in --modality token {token!r}")
+        raise ConfigurationError(f"bad size in --modality token {token!r}: "
+                                 "expected an integer >= 1") from None
     if (distribution, datatype) not in VALID_KINDS:
         raise ConfigurationError(f"bad kind in --modality token {token!r}")
     return name, size, datatype, distribution

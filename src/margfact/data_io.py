@@ -439,8 +439,12 @@ def synth_generate(model_spec, modality_sizes, datatypes, n_patients,
     modality referenced by several tensors is sampled from the first
     tensor that lists it.
     """
-    if not (0.0 < sparsity <= 1.0) or scale <= 0:
-        raise ValueError("sparsity must lie in (0, 1] and scale must be positive")
+    if n_patients < 1 or any(size < 1 for size in modality_sizes.values()):
+        raise ConfigurationError(f"the patient count and every modality size must be >= 1, "
+                                 f"got {n_patients!r} and {modality_sizes!r}")
+    if not (0.0 < sparsity <= 1.0 and 0.0 < scale < math.inf):
+        raise ConfigurationError(f"sparsity must lie in (0, 1] and scale must be positive "
+                                 f"and finite, got {sparsity!r} and {scale!r}")
     rng = np.random.default_rng(seed)
     R = model_spec.rank
     shared = _planted_factor(rng, n_patients, R, sparsity, scale)

@@ -3,6 +3,7 @@
 import numpy as np
 
 from .data_io import _take_patients, class_permutations, stratified_split
+from .errors import ConfigurationError
 from .model import build_model, project_patients
 from .solver import train
 
@@ -99,8 +100,10 @@ def five_fold_cv(observations, labels, model_spec, solver_cfg=None, n_folds=5, s
     """
     labels = np.asarray(labels, dtype=int)
     n = len(labels)
+    if n_folds < 2:
+        raise ConfigurationError(f"cross-validation needs at least 2 folds, got {n_folds!r}")
     if int(labels.sum()) < n_folds or int((1 - labels).sum()) < n_folds:
-        raise ValueError(f"need at least {n_folds} patients per class")
+        raise ConfigurationError(f"need at least {n_folds} patients per class")
     folds = _stratified_folds(labels, n_folds, seed)
     results = []
     for fold_id, test_idx in enumerate(folds):

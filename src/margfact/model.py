@@ -14,10 +14,20 @@ column sums, the log term and the gradient weight V / vhat live on the
 observed cells. Every other term runs the dense kernels on the whole
 matrix. objective, gradient_block and project_patients all go through the
 compiled list.
+
+A sparse term's kernels gather the shared and item factor rows at its cells
+a block of whole rows (for the target's gradient, of whole columns) at a
+time, each block holding about BLOCK_CELLS cells. So no temporary grows with
+cells x rank: the fit's memory is set by the block, not by the observations,
+and each block's gathers stay in cache. Per-row and per-column sums never
+cross a block, and a sum over all cells runs on a whole per-cell vector or
+adds the cells one at a time in order, so every block size gives the same
+bits.
 """
 
 import numbers
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -42,6 +52,16 @@ BACKTRACK = 0.5
 #: 4.7x slower at 20-30%, where the per-cell gathers outweigh the dense
 #: products.
 SPARSE_DENSITY = 0.1
+
+#: Sparse kernels gather factor rows for about this many cells at a time, in
+#: whole rows (a longer row is a block alone). A one-sweep fit of the
+#: benchmark's 10k-patient cohort (9,000 x 500 and 9,000 x 300 at 2-3%
+#: nonzero, rank 20, one core, median of 11) took 0.252 / 0.241 / 0.246 /
+#: 0.247 / 0.256 / 0.315 s with blocks of 1,024 / 2,048 / 4,096 / 8,192 /
+#: 16,384 / 65,536 cells and 0.359 s in one block; its allocations peaked
+#: 13.7 MB above the model at 4,096 cells (mostly compiling the terms),
+#: 21.5 MB at 16,384 and 65.5 MB in one block.
+BLOCK_CELLS = 1 << 12
 
 
 @dataclass
@@ -163,6 +183,27 @@ def _run_sums(x, ptr):
     return out
 
 
+def _run_blocks(ptr):
+    """Consecutive blocks of whole runs of ptr, each holding at most
+    BLOCK_CELLS cells unless it is one longer run: yields each block's runs
+    [start, stop) and its cells [lo, hi)."""
+    start, n = 0, ptr.size - 1
+    while start < n:
+        stop = n if ptr[n] - ptr[start] <= BLOCK_CELLS else max(
+            int(np.searchsorted(ptr, ptr[start] + BLOCK_CELLS, "right")) - 1, start + 1)
+        yield start, stop, ptr[start], ptr[stop]
+        start = stop
+
+
+#: Cells of some rows: each cell's row of S, column and value, row by row,
+#: and the rows' run pointers.
+Selection = namedtuple("Selection", "S_row col val ptr")
+
+#: One block of a Selection: its rows and cells (slices), S and Bs at the
+#: cells, vhat there and the rows' run pointers within the block.
+Block = namedtuple("Block", "rows cells S Bs vhat ptr")
+
+
 class Cells:
     """The nonzero cells of an observation matrix, row by row.
 
@@ -177,14 +218,25 @@ class Cells:
         self.by_col = np.argsort(self.cols, kind="stable")
         self.col_ptr = _run_pointers(self.cols, V.shape[1])
 
-    def select(self, rows):
-        """The cells of `rows`, row by row in that order: their positions, each
-        cell's index into `rows`, and the run pointers of the rows."""
+    def select(self, rows=None):
+        """The Selection of `rows`' cells, in that order, with S holding those
+        rows; all rows, of the whole S, when None."""
+        if rows is None:
+            return Selection(self.rows, self.cols, self.vals, self.indptr)
         lo = self.indptr[rows]
         counts = self.indptr[rows + 1] - lo
         ptr = np.concatenate(([0], np.cumsum(counts)))
         pos = np.arange(ptr[-1]) + np.repeat(lo - ptr[:-1], counts)
-        return pos, np.repeat(np.arange(len(rows)), counts), ptr
+        return Selection(np.repeat(np.arange(len(rows)), counts), self.cols[pos],
+                         self.vals[pos], ptr)
+
+
+def _row_blocks(S, Bs, sel):
+    """The Blocks of whole rows of a Selection, in order."""
+    for start, stop, lo, hi in _run_blocks(sel.ptr):
+        S_at, Bs_at = S.take(sel.S_row[lo:hi], axis=0), Bs.take(sel.col[lo:hi], axis=0)
+        yield Block(slice(start, stop), slice(lo, hi), S_at, Bs_at,
+                    np.einsum("ij,ij->i", S_at, Bs_at), sel.ptr[start:stop + 1] - lo)
 
 
 class Term:
@@ -208,16 +260,6 @@ class Term:
     def blocks(self, factors):
         return [factors[m] for m in self.tensor.modalities]
 
-    def _observed(self, S, B, rows):
-        """S and B gathered at the observed cells of rows (all when None), the
-        cells' values and the rows' run pointers."""
-        c = self.cells
-        if rows is None:
-            pos, local, ptr = slice(None), c.rows, c.indptr
-        else:
-            pos, local, ptr = c.select(rows)
-        return S.take(local, axis=0), B.take(c.cols[pos], axis=0), c.vals[pos], ptr
-
     def nll(self, S, factors, rows=None):
         """The term's NLL with S the whole shared block, or, given rows, one
         value per row with S holding those shared rows."""
@@ -228,17 +270,19 @@ class Term:
                 return lk.nll(self.kind, self.V, vhat, self.params)
             return lk.nll_cells(self.kind, self.V[rows], vhat, self.params).sum(axis=1)
         Bs = blocks[self.k] * marginal_scales(blocks, self.k)
-        S_at, Bs_at, vals, ptr = self._observed(S, Bs, rows)
-        log_term = lk.poisson_log_term(self.kind.datatype, vals,
-                                       np.einsum("ij,ij->i", S_at, Bs_at))
+        sel = self.cells.select(rows)
+        vhat = np.empty(sel.val.size)
+        for b in _row_blocks(S, Bs, sel):
+            vhat[b.cells] = b.vhat
+        log_term = lk.poisson_log_term(self.kind.datatype, sel.val, vhat)
         if rows is None:  # sum(vhat) is closed-form in the column sums
             return float(S.sum(axis=0) @ Bs.sum(axis=0) - np.sum(log_term))
-        return S @ Bs.sum(axis=0) - _run_sums(log_term, ptr)
+        return S @ Bs.sum(axis=0) - _run_sums(log_term, sel.ptr)
 
     def gradient(self, S, factors, block=SHARED, rows=None):
         """d NLL / d block, for SHARED (of the rows `rows` that S holds, all when
-        None) or for a modality of the tensor (a length-R row, the same for
-        every item, when it is not the target)."""
+        None) or, with every row, for a modality of the tensor (a length-R
+        row, the same for every item, when it is not the target)."""
         blocks = self.blocks(factors)
         B = blocks[self.k]
         scales = marginal_scales(blocks, self.k)
@@ -255,15 +299,34 @@ class Term:
             return marginal_scales(blocks, self.k, j) * np.einsum("ic,il,lc->c", S, G, B)
         # G = 1 - W, with W = poisson_weight nonzero on the observed cells only
         Bs = B * scales
-        S_at, Bs_at, vals, ptr = self._observed(S, Bs, rows)
-        W = lk.poisson_weight(self.kind.datatype, vals, np.einsum("ij,ij->i", S_at, Bs_at))
+        sel = self.cells.select(rows)
+        weighted = ((b, lk.poisson_weight(self.kind.datatype, sel.val[b.cells], b.vhat))
+                    for b in _row_blocks(S, Bs, sel))
         if j is None:
-            return Bs.sum(axis=0) - _run_sums(W[:, None] * Bs_at, ptr)
-        if j == self.k:
-            by_col = self.cells.by_col
-            WS = W[by_col, None] * S_at[by_col]
-            return (S.sum(axis=0) - _run_sums(WS, self.cells.col_ptr)) * scales
-        WSB = np.einsum("i,ij,ij->j", W, S_at, B.take(self.cells.cols, axis=0))
+            grad, Bs_sum = np.empty_like(S), Bs.sum(axis=0)
+            for b, W in weighted:
+                grad[b.rows] = Bs_sum - _run_sums(W[:, None] * b.Bs, b.ptr)
+            return grad
+        if j == self.k:  # W * S summed per column, a block of whole columns at a time
+            W_cells = np.empty(sel.val.size)
+            for b, W in weighted:
+                W_cells[b.cells] = W
+            c = self.cells
+            grad, S_sum = np.empty_like(B), S.sum(axis=0)
+            for start, stop, lo, hi in _run_blocks(c.col_ptr):
+                at = c.by_col[lo:hi]
+                WS = W_cells[at, None] * S.take(c.rows[at], axis=0)
+                grad[start:stop] = (S_sum - _run_sums(WS, c.col_ptr[start:stop + 1] - lo)) * scales
+            return grad
+        # sum of W * S * B over the cells, added one cell at a time in row order (as
+        # einsum("i,ij,ij->j") adds them), so that the blocks do not change a bit
+        WSB = np.zeros(S.shape[1])
+        for b, W in weighted:
+            terms = np.empty((W.size + 1, WSB.size))
+            terms[0] = WSB
+            np.multiply(W[:, None], b.S, out=terms[1:])
+            terms[1:] *= B.take(sel.col[b.cells], axis=0)
+            WSB = np.add.accumulate(terms, axis=0, out=terms)[-1]
         return marginal_scales(blocks, self.k, j) * (S.sum(axis=0) * B.sum(axis=0) - WSB)
 
 

@@ -175,6 +175,17 @@ class TestJaccardAtK:
         ps = [self._pheno(0, ["a", "b"]), self._pheno(1, ["a", "b"])]
         assert 0.0 <= jaccard_at_k(ps) <= 0.5
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_configuration_error(self, k):
+        ps = [self._pheno(0, ["a", "b"]), self._pheno(1, ["b", "c"])]
+        with pytest.raises(ConfigurationError):
+            jaccard_at_k(ps, k)
+        with pytest.raises(ConfigurationError):
+            top_k_items(ps[0], k)
+        row = CorrespondenceRow("A", "a0", "B", ["b0", "b1", "b2"], np.array([3.0, 2.0, 1.0]), 5)
+        with pytest.raises(ConfigurationError):
+            row.top(k)
+
 
 class TestSparsity:
     def test_all_zero(self):

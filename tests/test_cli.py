@@ -87,6 +87,17 @@ class TestSynth:
                    "--out", str(tmp_path / "x"), "--no-such-flag")
         assert code == 2
 
+    @pytest.mark.parametrize("args", [
+        ("--patients", "0"), ("--patients", "-5"), ("--sparsity", "2"), ("--scale", "-1"),
+        ("--modality", "B:0:integer:poisson")])
+    def test_out_of_range_usage_error(self, tmp_path, capsys, args):
+        code = run("synth", "--modality", "A:4:integer:poisson", *args,
+                   "--out", str(tmp_path / "x"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
 
 class TestTrain:
     def test_model_directory_contents(self, tmp_path):
@@ -199,6 +210,16 @@ class TestCorrespondence:
         assert scores == sorted(scores, reverse=True)
         assert [line.split(",")[5] for line in lines[1:]] == ["1", "2", "3"]
 
+    @pytest.mark.parametrize("top", ["0", "-2"])
+    def test_top_below_one_usage_error(self, trained, capsys, top):
+        manifest, model_dir, tmp_path = trained
+        out = tmp_path / "corr.csv"
+        code = run("correspondence", "--manifest", manifest, "--model", model_dir,
+                   "--anchor", "A:A_0", "--target", "B", "--top", top, "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
+
     def test_unknown_target_modality_usage_error(self, trained):
         manifest, model_dir, tmp_path = trained
         code = run("correspondence", "--manifest", manifest, "--model", model_dir,
@@ -250,6 +271,16 @@ class TestMetrics:
         assert 0.0 <= doc["sparsity"] <= 1.0
         assert 0.0 <= doc["cosine_similarity"] <= 0.5
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_usage_error(self, trained, capsys, k):
+        manifest, model_dir, tmp_path = trained
+        out = tmp_path / "metrics.json"
+        code = run("metrics", "--manifest", manifest, "--model", model_dir, "--k", k,
+                   "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
+
     def test_meaningfulness_with_annotations(self, trained):
         manifest, model_dir, tmp_path = trained
         ann = tmp_path / "ann.csv"
@@ -296,33 +327,42 @@ class TestMetrics:
         assert code == 3
 
 
+def evaluate_inputs(tmp_path):
+    """A 30-patient dataset, a quick spec and a labels file with 10 positives."""
+    manifest = synth_dataset(tmp_path / "data", seed=5, patients=30)
+    spec = write_quick_spec(tmp_path / "spec.json", max_sweeps=5)
+    rng = np.random.default_rng(0)
+    labels = np.zeros(30, dtype=int)
+    labels[rng.choice(30, size=10, replace=False)] = 1
+    with open(tmp_path / "labels.csv", "w") as fh:
+        fh.write("patient_id,label\n")
+        for i, y in enumerate(labels):
+            fh.write(f"p{i},{y}\n")
+    return ("--manifest", manifest, "--labels", str(tmp_path / "labels.csv"), "--spec", spec)
+
+
 class TestEvaluate:
     def test_cv_report(self, tmp_path):
-        manifest = synth_dataset(tmp_path / "data", seed=5, patients=30)
-        spec = write_quick_spec(tmp_path / "spec.json", max_sweeps=5)
-        rng = np.random.default_rng(0)
-        labels = np.zeros(30, dtype=int)
-        labels[rng.choice(30, size=10, replace=False)] = 1
-        with open(tmp_path / "labels.csv", "w") as fh:
-            fh.write("patient_id,label\n")
-            for i, y in enumerate(labels):
-                fh.write(f"p{i},{y}\n")
         out = str(tmp_path / "eval.json")
-        code = run("evaluate", "--manifest", manifest,
-                   "--labels", str(tmp_path / "labels.csv"),
-                   "--spec", spec, "--out", out)
+        code = run("evaluate", *evaluate_inputs(tmp_path), "--out", out)
         assert code == 0
         doc = json.load(open(out))
         assert len(doc["folds"]) == 5
         assert 0.0 <= doc["mean"] <= 1.0
 
+    @pytest.mark.parametrize("folds", ["0", "1", "-1"])
+    def test_fewer_than_two_folds_usage_error(self, tmp_path, capsys, folds):
+        out = tmp_path / "eval.json"
+        code = run("evaluate", *evaluate_inputs(tmp_path), "--folds", folds, "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_label_is_ingestion_error(self, tmp_path):
-        manifest = synth_dataset(tmp_path / "data", seed=5, patients=30)
-        spec = write_quick_spec(tmp_path / "spec.json", max_sweeps=5)
+        args = evaluate_inputs(tmp_path)
         (tmp_path / "labels.csv").write_text("patient_id,label\np0,1\n")
-        code = run("evaluate", "--manifest", manifest,
-                   "--labels", str(tmp_path / "labels.csv"),
-                   "--spec", spec, "--out", str(tmp_path / "eval.json"))
+        code = run("evaluate", *args, "--out", str(tmp_path / "eval.json"))
         assert code == 3
 
 

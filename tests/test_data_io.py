@@ -396,3 +396,13 @@ class TestSynthGenerate:
         obs, _ = synth_generate(simple_spec(), {"A": 3, "B": 3},
                                 {"A": "binary", "B": "integer"}, 15, seed=4)
         assert set(np.unique(obs["A"].values)) <= {0.0, 1.0}
+
+    @pytest.mark.parametrize("n_patients,sizes,sparsity,scale", [
+        (0, {"A": 3, "B": 3}, 0.5, 1.0), (-5, {"A": 3, "B": 3}, 0.5, 1.0),
+        (10, {"A": 0, "B": 3}, 0.5, 1.0), (10, {"A": 3, "B": 3}, 2.0, 1.0),
+        (10, {"A": 3, "B": 3}, 0.0, 1.0), (10, {"A": 3, "B": 3}, 0.5, -1.0),
+        (10, {"A": 3, "B": 3}, 0.5, math.inf), (10, {"A": 3, "B": 3}, 0.5, math.nan)])
+    def test_out_of_range_is_configuration_error(self, n_patients, sizes, sparsity, scale):
+        with pytest.raises(ConfigurationError):
+            synth_generate(simple_spec(), sizes, {"A": "integer", "B": "integer"}, n_patients,
+                           sparsity=sparsity, scale=scale)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from margfact import (InteractionTensorSpec, ModelSpec, RegularizerConfig,
-                      SolverConfig, auprc, five_fold_cv, lasso_logistic_fit,
+from margfact import (ConfigurationError, InteractionTensorSpec, ModelSpec,
+                      RegularizerConfig, SolverConfig, auprc, five_fold_cv, lasso_logistic_fit,
                       reconstruct_marginal)
 from margfact.evaluate import _logistic_loss, predict_scores
 
@@ -192,6 +192,17 @@ class TestFiveFoldCV:
         report = five_fold_cv(obs, shuffled, spec, spec.solver, seed=3)
         base = shuffled.mean()
         assert abs(report["mean"] - base) <= max(3 * report["std"], 0.2)
+
+    @pytest.mark.parametrize("n_folds", [1, 0, -1])
+    def test_fewer_than_two_folds_is_configuration_error(self, n_folds):
+        obs, labels, spec = cv_setup()
+        with pytest.raises(ConfigurationError):
+            five_fold_cv(obs, labels, spec, spec.solver, n_folds=n_folds)
+
+    def test_too_few_patients_per_class_is_configuration_error(self):
+        obs, labels, spec = cv_setup()
+        with pytest.raises(ConfigurationError):
+            five_fold_cv(obs, labels, spec, spec.solver, n_folds=int(labels.sum()) + 1)
 
     def test_deterministic_folds(self):
         obs, labels, spec = cv_setup(seed=4)

@@ -7,14 +7,18 @@ every term dense, and compares the objective, every block gradient and the
 row NLL of row subsets. The one documented difference: the dense
 Poisson-binary kernel floors vhat at EPS on every cell, the closed-form sum
 of vhat does not, so the two differ by less than EPS on each cell with
-vhat < EPS.
+vhat < EPS. The sparse kernels work a block of whole rows (or columns) at a
+time; any block size gives the same bits.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import margfact.model as mmodel
-from margfact import InteractionTensorSpec, ModelSpec, RegularizerConfig, build_model
+from margfact import (InteractionTensorSpec, ModelSpec, RegularizerConfig, SolverConfig,
+                      build_model)
 from margfact.likelihoods import BINARY, EPS
 from margfact.model import SHARED, Term
 from margfact.tensor import reconstruct_marginal
@@ -49,12 +53,20 @@ def single_nonzero(rng, shape, datatype):
     return V
 
 
+def long_row_and_column(rng, shape, datatype):
+    V = random_cells(rng, shape, datatype)
+    V[5] = random_cells(rng, (1, shape[1]), datatype, density=1.0)[0]
+    V[:, 2] = random_cells(rng, (shape[0], 1), datatype, density=1.0)[:, 0]
+    return V
+
+
 CASES = {"random": random_cells, "all_zero": all_zero,
-         "empty_rows_and_columns": empty_rows_and_columns, "single_nonzero": single_nonzero}
+         "empty_rows_and_columns": empty_rows_and_columns, "single_nonzero": single_nonzero,
+         "long_row_and_column": long_row_and_column}
 
 
-def build(modalities, values, density, monkeypatch, zero_row=None):
-    spec = ModelSpec(rank=3, tensors=[InteractionTensorSpec("t", list(modalities), "poisson")],
+def build(modalities, values, density, monkeypatch, zero_row=None, rank=3):
+    spec = ModelSpec(rank=rank, tensors=[InteractionTensorSpec("t", list(modalities), "poisson")],
                      regularizer=RegularizerConfig(gamma=1e-3, beta=0.5), init_seed=5)
     obs = {m: make_obs(m, values[m], "poisson", KINDS[m]) for m in modalities}
     with monkeypatch.context() as patch:
@@ -66,11 +78,11 @@ def build(modalities, values, density, monkeypatch, zero_row=None):
     return model
 
 
-def pair(modalities, case, monkeypatch, zero_row=None):
+def pair(modalities, case, monkeypatch, zero_row=None, rank=3):
     rng = np.random.default_rng(sorted(CASES).index(case) + 10 * len(modalities))
     values = {m: CASES[case](rng, (N_PATIENTS, SIZES[m]), KINDS[m]) for m in modalities}
-    sparse = build(modalities, values, 1.01, monkeypatch, zero_row)
-    dense = build(modalities, values, 0.0, monkeypatch, zero_row)
+    sparse = build(modalities, values, 1.01, monkeypatch, zero_row, rank)
+    dense = build(modalities, values, 0.0, monkeypatch, zero_row, rank)
     assert all(t.cells is not None for t in sparse.compiled_terms())
     assert all(t.cells is None for t in dense.compiled_terms())
     return sparse, dense
@@ -136,3 +148,54 @@ def test_density_rule(distribution, density, sparse):
     obs = make_obs("A", V.reshape(n, m), *kind)
     tensor = InteractionTensorSpec("t", ["A"], distribution, 1.0)
     assert (Term(tensor, 0, obs, 1).cells is not None) is sparse
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+@pytest.mark.parametrize("modalities", MODALITY_SETS, ids=["2-way", "3-way"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_blocks_give_the_one_block_result_bit_for_bit(modalities, case, rank, monkeypatch):
+    sparse, _ = pair(modalities, case, monkeypatch, rank=rank)
+    rows = np.random.default_rng(0).permutation(N_PATIENTS)[:7]
+    block = 2
+    if case == "long_row_and_column":
+        cells = [t.cells for t in sparse.compiled_terms()]
+        assert max(np.diff(c.indptr).max() for c in cells) > block
+        assert max(np.diff(c.col_ptr).max() for c in cells) > block
+
+    def outputs(block_cells):
+        with monkeypatch.context() as patch:
+            patch.setattr(mmodel, "BLOCK_CELLS", block_cells)
+            patch.setattr(mmodel, "SPARSE_DENSITY", 1.01)  # the projected rows' terms too
+            out = [mmodel.objective(sparse)]
+            out += [mmodel.gradient_block(sparse, b) for b in [SHARED, *modalities]]
+            S = sparse.shared[rows]
+            for t in sparse.compiled_terms():
+                out += [t.nll(S, sparse.factors, rows), t.gradient(S, sparse.factors, rows=rows)]
+            out.append(mmodel.project_patients(sparse, sparse.observations,
+                                               SolverConfig(max_sweeps=20)))
+        return out
+
+    for got, want in zip(outputs(block), outputs(10 ** 9), strict=True):
+        assert np.array_equal(got, want)
+
+
+def test_shared_gradient_memory_is_bounded_by_the_block(monkeypatch):
+    """The (cells x rank) temporaries of a sparse term's shared gradient are a
+    few blocks' worth, however many cells the term has."""
+    rank, block = 8, 512
+    V = random_cells(np.random.default_rng(2), (4000, 200), "integer", density=0.08)
+    spec = ModelSpec(rank=rank, tensors=[InteractionTensorSpec("t", ["A"], "poisson")])
+    model = build_model(spec, {"A": make_obs("A", V, "poisson", "integer")})
+    monkeypatch.setattr(mmodel, "BLOCK_CELLS", block)
+    mmodel.gradient_block(model, SHARED)  # compiles the term
+    assert model.compiled_terms()[0].cells is not None
+
+    tracemalloc.start()
+    try:
+        mmodel.gradient_block(model, SHARED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 3 * model.shared.nbytes + 16 * block * rank * 8
+    assert bound < np.count_nonzero(V) * rank * 8 / 2
+    assert peak < bound

@@ -6,7 +6,8 @@ Run it from the repository root on two commits and compare the lines. It
 uses the benchmark's cohorts (bench/workloads.py) and pins BLAS to one
 thread before numpy loads. Each line is `<output> <sha256>`:
 
-- fit500: the loss_trace of seeds 0-5 over 60 sweeps (log_every=1);
+- fit500: the loss_trace of seeds 0-5 over 60 sweeps (log_every=1), and
+  every logged step size and accept flag of seed 0's step log;
 - cohort10k: the loss_trace of a 2-sweep fit on the first 9,000 patients
   of seed 0 (the Poisson-binary objective itself), and project_patients
   of the other 1,000 under that model; and, after a 1-sweep fit, the
@@ -54,7 +55,9 @@ def fit500(seed):
     cohort = workloads.generate(workloads.WORKLOADS["fit500"], seed)
     model = build_model(cohort.spec, cohort.observations)
     report = train(model, dataclasses.replace(cohort.spec.solver, max_sweeps=60))
-    return sha([f for _, f in report.loss_trace])
+    steps = [[*s["step_size_per_block"].values(), *s["step_accepted_per_block"].values()]
+             for s in report.step_log]
+    return sha([f for _, f in report.loss_trace]), sha(steps)
 
 
 def cohort10k():
@@ -112,7 +115,10 @@ def three_way():
 
 if __name__ == "__main__":
     for seed in range(6):
-        print(f"fit500.seed{seed}.loss_trace {fit500(seed)}", flush=True)
+        loss_trace, steps = fit500(seed)
+        print(f"fit500.seed{seed}.loss_trace {loss_trace}", flush=True)
+        if seed == 0:
+            print(f"fit500.seed0.step_log {steps}", flush=True)
     loss_trace, projection, kernels = cohort10k()
     print(f"cohort10k.loss_trace {loss_trace}")
     print(f"cohort10k.project_patients {projection}")

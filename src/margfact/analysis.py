@@ -85,7 +85,10 @@ def extract_correspondence(model, tensor_id, anchor_modality, anchor_item,
 
 def extract_phenotypes(model, weight_threshold=1e-4):
     """Per-rank item lists: l1-normalize each factor column, keep entries
-    at or above the threshold, sort descending (ties by item index)."""
+    at or above the threshold (in [0, 1]), sort descending (ties by item index)."""
+    if not 0 <= weight_threshold <= 1:  # NaN fails too
+        raise ConfigurationError(f"phenotype weight threshold must be in [0, 1], "
+                                 f"got {weight_threshold!r}")
     phenotypes = []
     for r in range(model.spec.rank):
         items = {}
@@ -120,7 +123,7 @@ def cosine_similarity_metric(factors):
     factors = list(factors.values()) if isinstance(factors, dict) else list(factors)
     R = factors[0].shape[1]
     if R < 2:
-        raise ValueError("cosine similarity metric needs rank >= 2")
+        raise ConfigurationError("cosine similarity metric needs rank >= 2")
     N = len(factors)
     total = sum(_cosine_pair_sum(U) for U in factors)
     return total / (N * R * (R - 1))
@@ -145,7 +148,7 @@ def jaccard_at_k(phenotypes, k=10):
     """Mean pairwise Jaccard of top-k item unions, printed normalizer R(R-1)."""
     R = len(phenotypes)
     if R < 2:
-        raise ValueError("jaccard@k needs at least 2 phenotypes")
+        raise ConfigurationError("jaccard@k needs at least 2 phenotypes")
     sets = [top_k_items(p, k) for p in phenotypes]
     total = 0.0
     for r1 in range(R):

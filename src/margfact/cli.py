@@ -41,6 +41,8 @@ def _parse_modality_token(token):
 def cmd_synth(args):
     specs = [_parse_modality_token(t) for t in args.modality]
     sizes = {name: size for name, size, _, _ in specs}
+    if len(sizes) != len(specs):
+        raise ConfigurationError("each --modality name may be given only once")
     datatypes = {name: dt for name, _, dt, _ in specs}
     # anchor = first modality; one pairwise tensor per further modality
     tensors = []

@@ -41,9 +41,11 @@ from .tensor import marginal_scales, multiplicity, reconstruct_marginal
 
 SHARED = "__shared__"
 
-#: Armijo sufficient-decrease constant and step shrink factor of the projected line search
+#: Armijo sufficient-decrease constant, step shrink factor and halving budget
+#: of the projected line search
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
+MAX_HALVINGS = 30
 
 #: A Poisson term is evaluated on its observed cells alone when fewer than
 #: this share of its cells are nonzero. Measured on one core for 500x30
@@ -76,6 +78,8 @@ class InteractionTensorSpec:
             check_modality_name(m, ConfigurationError)
         if len(self.modalities) < 1:
             raise ConfigurationError(f"tensor {self.id!r} must reference at least one modality")
+        if len(set(self.modalities)) != len(self.modalities):
+            raise ConfigurationError(f"tensor {self.id!r} lists a modality more than once")
         if self.distribution not in (lk.POISSON, lk.GAUSSIAN):
             raise ConfigurationError(f"tensor {self.id!r}: unknown distribution {self.distribution!r}")
         if self.distribution == lk.GAUSSIAN and (self.sigma2 is None or self.sigma2 <= 0):
@@ -87,7 +91,6 @@ class SolverConfig:
     max_sweeps: int = 5000
     tol: float = 1e-6
     step0: float = 1e-2  # the first step only: later searches start where the last one ended
-    max_halvings: int = 30
     log_every: int = 10
 
     def __post_init__(self):
@@ -97,17 +100,17 @@ class SolverConfig:
                 raise ConfigurationError(f"solver config: {f.name} must be "
                                          f"{'an integer' if integral else 'a number'}, "
                                          f"got {value!r}")
-        if (self.max_sweeps < 0 or self.tol <= 0 or self.step0 <= 0 or self.max_halvings < 0
-                or self.log_every < 1):
-            raise ConfigurationError("solver config: max_sweeps >= 0, tol > 0, step0 > 0, "
-                                     "max_halvings >= 0 and log_every >= 1 required")
+        if self.max_sweeps < 0 or self.tol <= 0 or self.step0 <= 0 or self.log_every < 1:
+            raise ConfigurationError("solver config: max_sweeps >= 0, tol > 0, step0 > 0 "
+                                     "and log_every >= 1 required")
 
     def to_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d):
-        """Inverse of to_dict; keys that are not fields (old armijo_c, backtrack) are ignored."""
+        """Inverse of to_dict; keys that are not fields (old armijo_c, backtrack,
+        max_halvings) are ignored."""
         return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
@@ -427,48 +430,41 @@ def gradient_block(model, block):
     return grad
 
 
-def projected_step(values, grad, eval_objective, f_current, cfg, eta=None):
-    """One backtracked projected gradient step, on a block or on its rows.
+def projected_step(values, grad, eval_rows, f_current, eta):
+    """One backtracked projected gradient step on each row of a block.
 
-    Candidate = max(0, values - eta * grad); eta starts at the given step
-    (cfg.step0 when None) and is multiplied by BACKTRACK until the
-    projected-direction Armijo condition holds or the halving budget is
-    spent, and then the values stay unchanged. A scalar f_current makes the
-    whole block one problem, and eval_objective(candidate) returns its
-    objective. A vector f_current of length n (length 1 included) makes row
-    i of the block an independent problem with its own step size (eta may
-    then be a vector of n steps): each halving calls
-    eval_objective(trial_rows, rows) with the trial values of the rows still
-    searching and their indices, and it returns one value per row, each
-    depending on that row alone. A zero projected step is stationary:
-    accepted, unchanged, with no evaluation. Returns (new_values,
-    new_objective, accepted, next_eta), the last three shaped like
-    f_current. next_eta is where the next search should start (Lin 2007):
-    the accepted step / BACKTRACK, so the step can grow; the smallest
-    step tried after a rejected search, so it keeps shrinking; and the given
-    step for a stationary block or row.
+    Row i of values is an independent problem with objective f_current[i]
+    and its own step eta[i] (a scalar eta serves every row); a whole block
+    is one row. Each row's candidate is max(0, row - eta * grad_row), and
+    its eta is multiplied by BACKTRACK until the projected-direction Armijo
+    condition holds or MAX_HALVINGS halvings are spent, and then the row
+    stays unchanged. Each halving calls eval_rows(trial_rows, rows) with the
+    trial values of the rows still searching and their indices, and it
+    returns one value per row, each depending on that row alone. A zero
+    projected step is stationary: accepted, unchanged, with no evaluation.
+    Returns (new_values, new_objective, accepted, next_eta), the last three
+    one entry per row. next_eta is where the row's next search should start
+    (Lin 2007): the accepted step / BACKTRACK, so the step can grow; the
+    smallest step tried after a rejected search, so it keeps shrinking; and
+    the given step for a stationary row.
     """
-    by_row = np.ndim(f_current) != 0
-    f = np.array(f_current, dtype=float).reshape(-1)
+    f = np.array(f_current, dtype=float)
     rows = values.reshape(f.size, -1)
     step = grad.reshape(f.size, -1)
     out = rows.copy()
     pending = np.ones(f.size, dtype=bool)
     # every pending row has halved its step the same number of times
-    eta = np.array(np.broadcast_to(cfg.step0 if eta is None else eta, f.shape), dtype=float)
+    eta = np.array(np.broadcast_to(eta, f.shape), dtype=float)
     next_eta = eta.copy()
-    for _ in range(cfg.max_halvings + 1):
+    for _ in range(MAX_HALVINGS + 1):
         trial = np.maximum(0.0, rows - eta[:, None] * step)
         dist2 = np.add.reduce((trial - rows) ** 2, axis=1)
         pending &= dist2 != 0.0
         if not pending.any():
             break
-        if by_row:
-            idx = np.flatnonzero(pending)
-            f_trial = f.copy()  # settled rows keep their value and are ignored
-            f_trial[idx] = eval_objective(trial[idx], idx)
-        else:
-            f_trial = eval_objective(trial.reshape(values.shape))
+        idx = np.flatnonzero(pending)
+        f_trial = f.copy()  # settled rows keep their value and are ignored
+        f_trial[idx] = eval_rows(trial[idx], idx)
         ok = pending & (f_trial <= f - ARMIJO_C * dist2 / eta)
         if ok.any():
             out[ok] = trial[ok]
@@ -477,8 +473,6 @@ def projected_step(values, grad, eval_objective, f_current, cfg, eta=None):
             next_eta[ok] = eta[ok] / BACKTRACK
         next_eta[pending] = eta[pending]
         eta *= BACKTRACK
-    if not by_row:  # plain float and bool, as the JSON step log needs
-        return out.reshape(values.shape), float(f[0]), not pending[0], float(next_eta[0])
     return out.reshape(values.shape), f, ~pending, next_eta
 
 
@@ -522,8 +516,7 @@ def project_patients(model, new_obs, cfg=None):
         for term in terms:
             g += term.gradient(S_active, model.factors, rows=rows)
         S_new, f_new, _, eta[rows] = projected_step(
-            S_active, g, lambda trial, idx: row_objective(trial, rows[idx]), f[rows], cfg,
-            eta[rows])
+            S_active, g, lambda trial, idx: row_objective(trial, rows[idx]), f[rows], eta[rows])
         rel = np.abs(f[rows] - f_new) / np.maximum(1.0, np.abs(f[rows]))
         S[rows], f[rows] = S_new, f_new
         active[rows] = rel >= cfg.tol
@@ -542,6 +535,6 @@ def load_model(model_dir, observations):
     """Rebuild a fitted model from a saved directory plus its observations;
     a model saved against other observations raises IngestionError."""
     spec = ModelSpec.load(os.path.join(model_dir, "spec.json"))
-    model = build_model(spec, observations)
-    model.shared, model.factors = load_factors(model_dir, model.factors, observations, spec.rank)
-    return model
+    _check_observations(spec, observations)
+    shared, factors = load_factors(model_dir, spec.modality_order, observations, spec.rank)
+    return Model(spec, observations, shared, factors)

@@ -2,10 +2,11 @@
 
 Each sweep updates the shared block first, then every modality block in
 declaration order. A step is a non-negative projection of a gradient
-step, with Armijo backtracking on the step size so accepted sweeps never
-increase the objective. Each block keeps its own step size: its first
-search starts at cfg.step0 and every later one where the last left off
-(see model.projected_step), so a block whose gradient is huge near the
+step, with Armijo backtracking on the step size (at most
+model.MAX_HALVINGS halvings) so accepted sweeps never increase the
+objective. Each block is one row of model.projected_step and keeps its
+own step size: its first search starts at cfg.step0 and every later one
+where the last left off, so a block whose gradient is huge near the
 bound is not re-searched from step0 every sweep.
 
 A fit stops when a sweep lowers the objective by less than tol
@@ -28,12 +29,15 @@ from .model import SHARED, gradient_block, objective, projected_step
 @dataclass
 class TrainReport:
     loss_trace: list = field(default_factory=list)  # (sweep, objective)
-    converged: bool = False
     stop_reason: str = "budget"  # "converged" | "stalled" | "budget"
     sweeps_run: int = 0
     wall_time: float = 0.0
     # {sweep, objective, step_accepted_per_block, step_size_per_block}
     step_log: list = field(default_factory=list)
+
+    @property
+    def converged(self):
+        return self.stop_reason == "converged"
 
     def to_dict(self):
         # wall_time deliberately omitted: persisted model directories must be
@@ -78,18 +82,20 @@ def train(model, cfg=None):
         for name in blocks:
             grad = gradient_block(model, name)
 
-            def eval_objective(candidate, _name=name):
+            def eval_rows(trial, _idx, _name=name):  # the block is one row
                 old = get_block(_name)
-                set_block(_name, candidate)
+                set_block(_name, trial.reshape(old.shape))
                 try:
                     return objective(model)
                 finally:
                     set_block(_name, old)
 
-            new_values, f, accepted, steps[name] = projected_step(
-                get_block(name), grad, eval_objective, f, cfg, steps[name])
+            new_values, f_new, accepted, eta = projected_step(
+                get_block(name), grad, eval_rows, [f], steps[name])
             set_block(name, new_values)
-            accepted_flags[name] = accepted
+            # plain float and bool, as the JSON step log needs
+            f, accepted_flags[name] = float(f_new[0]), bool(accepted[0])
+            steps[name] = float(eta[0])
 
         if abs(f_prev - f) / max(1.0, abs(f_prev)) < cfg.tol:
             stop_reason = "converged" if all(accepted_flags.values()) else "stalled"
@@ -101,7 +107,6 @@ def train(model, cfg=None):
         if stop_reason != "budget":
             break
 
-    report.converged = stop_reason == "converged"
     report.stop_reason = stop_reason
     report.sweeps_run = sweep if cfg.max_sweeps > 0 else 0
     report.wall_time = time.perf_counter() - start

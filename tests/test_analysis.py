@@ -101,6 +101,18 @@ class TestExtractPhenotypes:
         phenos = extract_phenotypes(model)
         assert phenos[1].items["A"] == []
 
+    @pytest.mark.parametrize("threshold", [-1.0, -1e-9, 1.5, 2.0, float("nan")])
+    def test_threshold_outside_unit_interval_is_configuration_error(self, threshold):
+        model = poisson_pair_model(rank=1, n_a=3)
+        with pytest.raises(ConfigurationError, match="threshold"):
+            extract_phenotypes(model, weight_threshold=threshold)
+
+    def test_threshold_bounds_are_allowed(self):
+        model = poisson_pair_model(rank=1, n_a=3)
+        model.factors["A"] = np.array([[0.0], [5.0], [0.0]])
+        assert extract_phenotypes(model, weight_threshold=1.0)[0].items["A"] == [("A_1", 1.0)]
+        assert len(extract_phenotypes(model, weight_threshold=0.0)[0].items["A"]) == 3
+
     def test_reassembly_bounds_dropped_mass(self):
         model = fitted_small_model(seed=6)
         threshold = 1e-2
@@ -134,6 +146,10 @@ class TestCosineSimilarityMetric:
                     total += u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
         expected = total / (2 * 4 * 3)
         assert cosine_similarity_metric(factors) == pytest.approx(expected, abs=1e-12)
+
+    def test_rank_one_is_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="rank"):
+            cosine_similarity_metric([np.ones((3, 1))])
 
     def test_range_for_nonnegative_factors(self):
         rng = np.random.default_rng(1)
@@ -174,6 +190,10 @@ class TestJaccardAtK:
     def test_range(self):
         ps = [self._pheno(0, ["a", "b"]), self._pheno(1, ["a", "b"])]
         assert 0.0 <= jaccard_at_k(ps) <= 0.5
+
+    def test_one_phenotype_is_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="2 phenotypes"):
+            jaccard_at_k([self._pheno(0, ["a"])])
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_is_configuration_error(self, k):

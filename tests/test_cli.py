@@ -99,7 +99,32 @@ class TestSynth:
         assert not (tmp_path / "x").exists()
 
 
+    @pytest.mark.parametrize("names", [("A", "A"), ("A", "B", "B")])
+    def test_repeated_modality_usage_error(self, tmp_path, capsys, names):
+        sizes = iter(range(4, 10))
+        tokens = [x for name in names
+                  for x in ("--modality", f"{name}:{next(sizes)}:integer:poisson")]
+        code = run("synth", *tokens, "--out", str(tmp_path / "x"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
+
 class TestTrain:
+    def test_repeated_modality_in_spec_usage_error(self, tmp_path, capsys):
+        manifest = synth_dataset(tmp_path / "data")
+        spec = json.loads(open(write_quick_spec(tmp_path / "spec.json")).read())
+        spec["tensors"][0]["modalities"] = ["A", "A"]
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        capsys.readouterr()
+        code = run("train", "--manifest", manifest, "--spec", str(tmp_path / "spec.json"),
+                   "--out", str(tmp_path / "model"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not (tmp_path / "model").exists()
+
     def test_model_directory_contents(self, tmp_path):
         manifest = synth_dataset(tmp_path / "data")
         spec = write_quick_spec(tmp_path / "spec.json")
@@ -260,7 +285,36 @@ class TestPhenotypes:
                 assert sum(weights) <= 1.0 + 1e-9
 
 
+    @pytest.mark.parametrize("threshold", ["2", "nan", "-1"])
+    def test_threshold_outside_unit_interval_usage_error(self, trained, capsys, threshold):
+        manifest, model_dir, tmp_path = trained
+        out = tmp_path / "phen.json"
+        code = run("phenotypes", "--manifest", manifest, "--model", model_dir,
+                   "--threshold", threshold, "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestMetrics:
+    def test_rank_one_model_usage_error(self, tmp_path, capsys):
+        assert run("synth", "--rank", "1", "--patients", "20",
+                   "--modality", "A:4:integer:poisson", "--modality", "B:5:integer:poisson",
+                   "--out", str(tmp_path / "data")) == 0
+        manifest = str(tmp_path / "data" / "manifest.json")
+        assert run("train", "--manifest", manifest,
+                   "--spec", str(tmp_path / "data" / "model_spec.json"),
+                   "--max-sweeps", "3", "--out", str(tmp_path / "model")) == 0
+        capsys.readouterr()
+        out = tmp_path / "metrics.json"
+        code = run("metrics", "--manifest", manifest, "--model", str(tmp_path / "model"),
+                   "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_basic_metrics(self, trained):
         manifest, model_dir, tmp_path = trained
         out = str(tmp_path / "metrics.json")
@@ -489,7 +543,7 @@ SPEC_FAULTS = {
                (("rank",), NOT_NUMBER), (("seed",), NOT_NUMBER)]
               + [(("regularizer", k), NOT_NUMBER) for k in ("gamma", "alpha", "beta", "theta")]
               + [(("solver", k), NOT_NUMBER) for k in ("max_sweeps", "tol", "step0",
-                                                       "max_halvings", "log_every")],
+                                                       "log_every")],
 }
 
 

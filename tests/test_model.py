@@ -79,7 +79,13 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="modality name"):
             InteractionTensorSpec("t", ["A", name], "poisson")
 
-    @pytest.mark.parametrize("field", ["max_sweeps", "max_halvings"])
+    def test_repeated_modality_errors(self):
+        with pytest.raises(ConfigurationError, match="more than once"):
+            InteractionTensorSpec("t", ["A", "A"], "poisson")
+        with pytest.raises(ConfigurationError, match="more than once"):
+            InteractionTensorSpec("t", ["A", "B", "A"], "poisson")
+
+    @pytest.mark.parametrize("field", ["max_sweeps"])
     def test_negative_solver_count_errors(self, field):
         assert getattr(SolverConfig(**{field: 0}), field) == 0
         with pytest.raises(ConfigurationError, match=field):
@@ -320,6 +326,20 @@ class TestPersistence:
             np.testing.assert_array_equal(loaded.factors[name], model.factors[name])
         assert objective(loaded) == pytest.approx(objective(model), rel=1e-12)
 
+    def test_load_draws_no_random_model(self, tmp_path, monkeypatch):
+        model = poisson_pair_model(seed=8, max_sweeps=3)
+        train(model)
+        save_model(model, tmp_path / "model")
+
+        def refuse(*args):
+            raise AssertionError("load_model needs no fresh model")
+
+        monkeypatch.setattr("margfact.model.build_model", refuse)
+        loaded = load_model(tmp_path / "model", model.observations)
+        np.testing.assert_array_equal(loaded.shared, model.shared)
+        assert list(loaded.factors) == list(model.factors)
+        assert objective(loaded) == objective(model)
+
     def test_load_rejects_other_observations(self, tmp_path):
         model = poisson_pair_model(seed=8, n_patients=6, max_sweeps=2)
         save_model(model, tmp_path / "model")
@@ -376,7 +396,7 @@ class TestPersistence:
 
     def test_old_spec_with_armijo_c_loads(self, tmp_path):
         model = small_mixed_model()
-        for key, value in (("armijo_c", 1e-4), ("backtrack", 0.5)):
+        for key, value in (("armijo_c", 1e-4), ("backtrack", 0.5), ("max_halvings", 30)):
             doc = model.spec.to_dict()
             assert key not in doc["solver"]
             doc["solver"][key] = value

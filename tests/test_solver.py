@@ -13,24 +13,39 @@ from margfact.model import BACKTRACK
 from helpers import make_obs, poisson_pair_model
 
 
+@pytest.fixture()
+def halvings(monkeypatch):
+    """Set the line search's halving budget for one test."""
+    def set_budget(n):
+        monkeypatch.setattr("margfact.model.MAX_HALVINGS", n)
+        return n
+    return set_budget
+
+
+def as_row(f, shape):
+    """A whole-block objective f as the callback of the block run as one row."""
+    return lambda trial, idx: f(trial.reshape(shape))
+
+
 class TestProjectedStep:
+    """A whole block is one row, as train runs it."""
+
     def test_zero_gradient_unchanged(self):
         U = np.array([[1.0, 2.0], [3.0, 4.0]])
-        cfg = SolverConfig()
-        new, f, accepted, _ = projected_step(U, np.zeros_like(U), lambda x: 0.0, 0.0, cfg)
-        assert accepted
+        new, f, accepted, _ = projected_step(U, np.zeros_like(U), as_row(lambda x: 0.0, U.shape),
+                                             [0.0], 1e-2)
+        assert accepted[0]
         np.testing.assert_array_equal(new, U)
 
     def test_projection_to_zero(self):
         U = np.full((2, 2), 1e-6)
         grad = np.full((2, 2), 1e6)  # any step drives everything negative
-        cfg = SolverConfig(step0=1.0)
 
         def f(candidate):
             return float(np.sum(candidate ** 2))
 
-        new, fv, accepted, _ = projected_step(U, grad, f, f(U), cfg)
-        assert accepted
+        new, fv, accepted, _ = projected_step(U, grad, as_row(f, U.shape), [f(U)], 1.0)
+        assert accepted[0]
         np.testing.assert_array_equal(new, np.zeros((2, 2)))
 
     def test_quadratic_toy_objective(self):
@@ -42,16 +57,15 @@ class TestProjectedStep:
             return float(0.5 * np.sum((u - target) ** 2))
 
         grad = u0 - target  # [[-1, 1.5]]
-        cfg = SolverConfig(step0=0.5)
         expected = np.maximum(0.0, u0 - 0.5 * grad)  # [[0.5, 0.0]] by hand
-        new, fv, accepted, _ = projected_step(u0, grad, f, f(u0), cfg)
-        assert accepted
+        new, fv, accepted, _ = projected_step(u0, grad, as_row(f, u0.shape), [f(u0)], 0.5)
+        assert accepted[0]
         np.testing.assert_allclose(new, expected)
-        assert fv < f(u0)
+        assert fv[0] < f(u0)
 
 
 class TestRowProjectedStep:
-    """A vector f_current makes each row of the block its own line search."""
+    """Each row of the block is its own line search."""
 
     @staticmethod
     def problem():
@@ -67,28 +81,29 @@ class TestRowProjectedStep:
         t[4] = -1.0
         return w, t, x, w[:, None] * (x - t)
 
-    def test_rows_equal_scalar_calls_bit_for_bit(self):
+    def test_rows_equal_scalar_calls_bit_for_bit(self, halvings):
+        halvings(12)
         w, t, x, grad = self.problem()
-        cfg = SolverConfig(step0=1.0, max_halvings=12)
 
         def f_rows(v, rows):
             return 0.5 * w[rows] * np.sum((v - t[rows]) ** 2, axis=1)
 
-        new, f, accepted, _ = projected_step(x, grad, f_rows, f_rows(x, np.arange(6)), cfg)
+        new, f, accepted, _ = projected_step(x, grad, f_rows, f_rows(x, np.arange(6)), 1.0)
         assert f.shape == accepted.shape == (6,)
         for i in range(6):
-            def f_row(v, i=i):
-                return 0.5 * w[i] * np.sum((v - t[i]) ** 2)
+            def f_row(v, _, i=i):
+                return f_rows(v, [i])
 
-            row, fi, ok, _ = projected_step(x[i], grad[i], f_row, f_row(x[i]), cfg)
-            np.testing.assert_array_equal(new[i], row)
-            assert f[i] == fi and accepted[i] == ok
+            row, fi, ok, _ = projected_step(x[i:i + 1], grad[i:i + 1], f_row, f_row(x[i:i + 1], 0),
+                                            1.0)
+            np.testing.assert_array_equal(new[i], row[0])
+            assert f[i] == fi[0] and accepted[i] == ok[0]
         assert list(accepted) == [True] * 5 + [False]
         assert np.all(f[:3] < f_rows(x, np.arange(6))[:3])
 
-    def test_row_calls_see_only_pending_rows(self):
+    def test_row_calls_see_only_pending_rows(self, halvings):
+        budget = halvings(12)
         w, t, x, grad = self.problem()
-        cfg = SolverConfig(step0=1.0, max_halvings=12)
         seen = []
 
         def f_rows(v, rows):
@@ -96,7 +111,7 @@ class TestRowProjectedStep:
             assert v.shape == (len(rows), 4)
             return 0.5 * w[rows] * np.sum((v - t[rows]) ** 2, axis=1)
 
-        new, f, accepted, _ = projected_step(x, grad, f_rows, f_rows(x, np.arange(6)), cfg)
+        new, f, accepted, _ = projected_step(x, grad, f_rows, f_rows(x, np.arange(6)), 1.0)
         calls = seen[1:]
         # rows 3 and 4 are stationary and never evaluated; a row leaves once accepted
         assert [list(r) for r in calls[:2]] == [[0, 1, 2, 5], [1, 2, 5]]
@@ -108,53 +123,38 @@ class TestRowProjectedStep:
                 np.testing.assert_array_equal(
                     new[i], np.maximum(0.0, x[i] - 0.5 ** last * grad[i]))
         assert all(5 in rows for rows in calls)
-        assert len(calls) == cfg.max_halvings + 1
+        assert len(calls) == budget + 1
 
     def test_length_one_vector_stays_row_form(self):
+        # a whole block is one row: the callback sees it flattened, as row 0
         w, t, x, grad = self.problem()
-        cfg = SolverConfig(step0=1.0)
         calls = []
 
-        def f_rows(v, rows):
+        def f(v):
+            return float(0.5 * np.sum(w[:, None] * (v - t) ** 2))
+
+        def f_block(v, rows):
             calls.append((v.shape, list(rows)))
-            return 0.5 * w[0] * np.sum((v - t[0]) ** 2, axis=1)
+            return f(v.reshape(x.shape))
 
-        def f_row(v):
-            return 0.5 * w[0] * np.sum((v - t[0]) ** 2)
-
-        f0 = np.array([f_row(x[0])])
-        new, f, accepted, _ = projected_step(x[:1], grad[:1], f_rows, f0, cfg)
-        assert f.shape == accepted.shape == (1,)
-        assert calls and all(call == ((1, 4), [0]) for call in calls)
-        row, fi, ok, _ = projected_step(x[0], grad[0], f_row, f_row(x[0]), cfg)
-        np.testing.assert_array_equal(new[0], row)
-        assert f[0] == fi and accepted[0] == ok
+        f0 = f(x)
+        new, f, accepted, nxt = projected_step(x, grad, f_block, [f0], 1e-3)
+        assert new.shape == x.shape and f.shape == accepted.shape == nxt.shape == (1,)
+        assert calls and all(call == ((1, 24), [0]) for call in calls)
+        assert f[0] <= f0
 
     def test_zero_step_rows_unchanged_and_accepted(self):
         w, t, x, grad = self.problem()
-        cfg = SolverConfig(step0=1.0)
         f0 = 0.5 * w * np.sum((x - t) ** 2, axis=1)
 
         def never(v, rows):
             raise AssertionError("a stationary block needs no evaluation")
 
         rows = [3, 4]
-        new, f, accepted, _ = projected_step(x[rows], grad[rows], never, f0[rows], cfg)
+        new, f, accepted, _ = projected_step(x[rows], grad[rows], never, f0[rows], 1.0)
         np.testing.assert_array_equal(new, x[rows])
         np.testing.assert_array_equal(f, f0[rows])
         assert accepted.all()
-
-    def test_scalar_call_returns_json_types(self):
-        w, t, x, grad = self.problem()
-
-        def f_all(v):
-            return float(0.5 * np.sum(w[:, None] * (v - t) ** 2))
-
-        for g in (grad, np.zeros_like(grad)):
-            _, f, accepted, _ = projected_step(x, g, f_all, f_all(x), SolverConfig(step0=1e-3))
-            assert json.loads(json.dumps([f, accepted])) == [f, accepted]
-            assert type(f) is float and type(accepted) is bool
-
 
 
 class TestStepMemory:
@@ -167,10 +167,10 @@ class TestStepMemory:
         def f(u):
             return float(0.5 * np.sum((u - target) ** 2))
 
-        cfg = SolverConfig(step0=0.5)
-        new, fv, accepted, nxt = projected_step(u0, u0 - target, f, f(u0), cfg)
-        assert accepted and fv < f(u0)
-        assert type(nxt) is float and nxt == 0.5 / BACKTRACK
+        new, fv, accepted, nxt = projected_step(u0, u0 - target, as_row(f, u0.shape), [f(u0)],
+                                                0.5)
+        assert accepted[0] and fv[0] < f(u0)
+        assert nxt[0] == 0.5 / BACKTRACK
         # a search started from the returned step tries that step first
         tried = []
 
@@ -178,51 +178,51 @@ class TestStepMemory:
             tried.append(u.copy())
             return f(u)
 
-        projected_step(new, new - target, g, fv, cfg, nxt)
+        projected_step(new, new - target, as_row(g, u0.shape), fv, nxt)
         np.testing.assert_array_equal(tried[0], np.maximum(0.0, new - nxt * (new - target)))
 
-    def test_rejected_search_returns_smallest_step_tried(self):
+    def test_rejected_search_returns_smallest_step_tried(self, halvings):
+        budget = halvings(3)
         u0 = np.array([[1.0, 2.0]])
-        cfg = SolverConfig(max_halvings=3)
 
         def f(u):  # the negative gradient points uphill: every trial fails
             return float(np.sum(u))
 
-        new, fv, accepted, nxt = projected_step(u0, -np.ones_like(u0), f, f(u0), cfg, 0.8)
-        assert not accepted and fv == f(u0)
+        new, fv, accepted, nxt = projected_step(u0, -np.ones_like(u0), as_row(f, u0.shape),
+                                                [f(u0)], 0.8)
+        assert not accepted[0] and fv[0] == f(u0)
         np.testing.assert_array_equal(new, u0)
-        assert nxt == 0.8 * BACKTRACK ** cfg.max_halvings
+        assert nxt[0] == 0.8 * BACKTRACK ** budget
 
     def test_stationary_keeps_given_step(self):
         U = np.array([[0.0, 2.0]])
         grad = np.array([[3.0, 0.0]])  # at the bound and pushed out, or flat
 
-        def never(u):
+        def never(u, rows):
             raise AssertionError("a stationary block needs no evaluation")
 
-        new, fv, accepted, nxt = projected_step(U, grad, never, 1.5, SolverConfig(), 7.0)
-        assert accepted and fv == 1.5 and nxt == 7.0
+        new, fv, accepted, nxt = projected_step(U, grad, never, [1.5], 7.0)
+        assert accepted[0] and fv[0] == 1.5 and nxt[0] == 7.0
         np.testing.assert_array_equal(new, U)
-        assert projected_step(U, grad, never, 1.5, SolverConfig())[3] == SolverConfig().step0
 
-    def test_rows_carry_their_own_steps(self):
+    def test_rows_carry_their_own_steps(self, halvings):
+        budget = halvings(12)
         w, t, x, grad = TestRowProjectedStep.problem()
-        cfg = SolverConfig(step0=1.0, max_halvings=12)
         eta = np.array([1.0, 0.25, 0.01, 2.0, 4.0, 3.0])
 
         def f_rows(v, rows):
             return 0.5 * w[rows] * np.sum((v - t[rows]) ** 2, axis=1)
 
-        new, f, accepted, nxt = projected_step(x, grad, f_rows, f_rows(x, np.arange(6)),
-                                               cfg, eta)
+        new, f, accepted, nxt = projected_step(x, grad, f_rows, f_rows(x, np.arange(6)), eta)
         assert nxt.shape == (6,)
         for i in range(6):
-            def f_row(v, i=i):
-                return 0.5 * w[i] * np.sum((v - t[i]) ** 2)
+            def f_row(v, _, i=i):
+                return f_rows(v, [i])
 
-            row, fi, ok, step = projected_step(x[i], grad[i], f_row, f_row(x[i]), cfg, eta[i])
-            np.testing.assert_array_equal(new[i], row)
-            assert f[i] == fi and accepted[i] == ok and nxt[i] == step
+            row, fi, ok, step = projected_step(x[i:i + 1], grad[i:i + 1], f_row,
+                                               f_row(x[i:i + 1], 0), eta[i])
+            np.testing.assert_array_equal(new[i], row[0])
+            assert f[i] == fi[0] and accepted[i] == ok[0] and nxt[i] == step[0]
         # rows 0-2 grew from the step they accepted, 3 and 4 are stationary
         # and keep theirs, and row 5 ends at the smallest step it tried
         for i in range(3):
@@ -231,32 +231,32 @@ class TestStepMemory:
             np.testing.assert_array_equal(new[i], np.maximum(0.0, x[i] - nxt[i] * BACKTRACK
                                                              * grad[i]))
         assert nxt[3] == eta[3] and nxt[4] == eta[4]
-        assert not accepted[5] and nxt[5] == eta[5] * BACKTRACK ** cfg.max_halvings
+        assert not accepted[5] and nxt[5] == eta[5] * BACKTRACK ** budget
 
     def test_idle_block_step_stays_finite_without_evaluations(self):
         U = np.array([[0.0, 1.0], [2.0, 0.0]])
         grad = np.array([[1.0, 0.0], [0.0, 5.0]])
-        cfg = SolverConfig()
+        step0 = SolverConfig().step0
         calls = []
 
         def count(*args):
             calls.append(args)
             return 0.0
 
-        step, steps = cfg.step0, np.full(2, cfg.step0)
+        step, steps = step0, np.full(2, step0)
         for _ in range(2000):
-            U, _, accepted, step = projected_step(U, grad, count, 0.0, cfg, step)
-            assert accepted
-            U, _, _, steps = projected_step(U, grad, count, np.zeros(2), cfg, steps)
+            U, _, accepted, step = projected_step(U, grad, count, [0.0], step)
+            assert accepted[0]
+            U, _, _, steps = projected_step(U, grad, count, np.zeros(2), steps)
         assert calls == []
-        assert step == cfg.step0 and np.all(steps == cfg.step0)
+        assert step[0] == step0 and np.all(steps == step0)
 
 
 class TestStopReason:
     def test_every_block_keeps_accepting_at_criterion_5_scale(self):
         # At a fixed first step, the shared block and M0 of this fit froze
         # after sweep 1: their gradients near the bound need steps far below
-        # step0 * backtrack ** max_halvings.
+        # step0 * BACKTRACK ** MAX_HALVINGS.
         spec = ModelSpec(
             rank=5,
             tensors=[InteractionTensorSpec("t0", ["M0", "M1"], "poisson"),
@@ -273,10 +273,11 @@ class TestStopReason:
             accepts = sum(e["step_accepted_per_block"][block] for e in later)
             assert accepts >= 0.9 * len(later), (block, accepts)
 
-    def test_no_block_moving_is_stalled(self):
+    def test_no_block_moving_is_stalled(self, halvings):
+        halvings(0)
         model = poisson_pair_model(seed=1)
         f0 = objective(model)
-        report = train(model, SolverConfig(step0=1e6, max_halvings=0, log_every=5))
+        report = train(model, SolverConfig(step0=1e6, log_every=5))
         assert report.stop_reason == "stalled" and not report.converged
         assert report.sweeps_run == 1
         assert report.loss_trace == [(0, f0), (1, f0)]
@@ -288,10 +289,10 @@ class TestStopReason:
         model = poisson_pair_model(seed=1)
         frozen = model.shared.copy()
 
-        def shared_always_rejects(values, grad, eval_objective, f, cfg, eta):
+        def shared_always_rejects(values, grad, eval_rows, f, eta):
             if values is model.shared:
-                return values.copy(), f, False, eta * BACKTRACK
-            return projected_step(values, grad, eval_objective, f, cfg, eta)
+                return values.copy(), np.array(f), np.zeros(1, dtype=bool), np.array([eta])
+            return projected_step(values, grad, eval_rows, f, eta)
 
         monkeypatch.setattr(solver, "projected_step", shared_always_rejects)
         report = train(model, SolverConfig(max_sweeps=5000, tol=1e-6))
@@ -319,6 +320,21 @@ class TestStopReason:
             assert all(type(v) is float and 0.0 < v < np.inf
                        for v in entry["step_size_per_block"].values())
         assert d["steps"][-1]["sweep"] == report.sweeps_run
+
+    def test_step_log_holds_json_types(self):
+        report = train(poisson_pair_model(seed=4), SolverConfig(max_sweeps=4, log_every=1))
+        for entry in report.step_log:
+            assert type(entry["objective"]) is float
+            assert all(type(v) is bool for v in entry["step_accepted_per_block"].values())
+            assert all(type(v) is float for v in entry["step_size_per_block"].values())
+        assert json.loads(json.dumps(report.to_dict()))["steps"] == report.step_log
+
+    def test_converged_follows_stop_reason(self):
+        report = solver.TrainReport()
+        for reason in ("converged", "stalled", "budget"):
+            report.stop_reason = reason
+            assert report.converged == (reason == "converged")
+            assert report.to_dict()["converged"] == report.converged
 
 
 class TestTrain:

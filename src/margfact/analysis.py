@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_setting
 from .regularizers import column_cosines, upper_pairs
 from .tensor import marginal_scales
 
@@ -21,7 +21,7 @@ class CorrespondenceRow:
 
     def top(self, k=10):
         """(item, score) pairs, best first; ties broken by item index."""
-        _check_k(k)
+        check_setting("correspondence", "k", k, 1, integral=True)
         order = np.lexsort((np.arange(len(self.scores)), -self.scores))[:k]
         return [(self.item_ids[j], float(self.scores[j])) for j in order]
 
@@ -86,9 +86,7 @@ def extract_correspondence(model, tensor_id, anchor_modality, anchor_item,
 def extract_phenotypes(model, weight_threshold=1e-4):
     """Per-rank item lists: l1-normalize each factor column, keep entries
     at or above the threshold (in [0, 1]), sort descending (ties by item index)."""
-    if not 0 <= weight_threshold <= 1:  # NaN fails too
-        raise ConfigurationError(f"phenotype weight threshold must be in [0, 1], "
-                                 f"got {weight_threshold!r}")
+    check_setting("phenotypes", "weight_threshold", weight_threshold, 0, 1)
     phenotypes = []
     for r in range(model.spec.rank):
         items = {}
@@ -129,14 +127,9 @@ def cosine_similarity_metric(factors):
     return total / (N * R * (R - 1))
 
 
-def _check_k(k):
-    if k < 1:
-        raise ConfigurationError(f"k must be >= 1, got {k!r}")
-
-
 def top_k_items(phenotype, k=10):
     """Union over modalities of the phenotype's top-k items, tagged by modality."""
-    _check_k(k)
+    check_setting("phenotype top items", "k", k, 1, integral=True)
     out = set()
     for name, items in phenotype.items.items():
         for item, _ in items[:k]:

@@ -9,7 +9,7 @@ import os
 import sys
 
 from . import analysis, data_io, evaluate
-from .errors import ConfigurationError, IngestionError, NumericError
+from .errors import ConfigurationError, IngestionError, NumericError, check_setting
 from .likelihoods import VALID_KINDS
 from .model import InteractionTensorSpec, ModelSpec, build_model, load_model, save_model
 from .solver import train
@@ -26,13 +26,8 @@ def _parse_modality_token(token):
         raise ConfigurationError(f"bad --modality token {token!r}: "
                                  "expected name:size:datatype:distribution")
     name, size, datatype, distribution = parts
-    try:
-        size = int(size)
-        if size < 1:
-            raise ValueError
-    except ValueError:
-        raise ConfigurationError(f"bad size in --modality token {token!r}: "
-                                 "expected an integer >= 1") from None
+    size = int(size) if size.isdecimal() else size  # the check refuses any other text
+    check_setting(f"--modality {token!r}", "size", size, 1, integral=True)
     if (distribution, datatype) not in VALID_KINDS:
         raise ConfigurationError(f"bad kind in --modality token {token!r}")
     return name, size, datatype, distribution
@@ -44,17 +39,17 @@ def cmd_synth(args):
     if len(sizes) != len(specs):
         raise ConfigurationError("each --modality name may be given only once")
     datatypes = {name: dt for name, _, dt, _ in specs}
-    # anchor = first modality; one pairwise tensor per further modality
+    # anchor = first modality; one pairwise tensor per further modality, or
+    # the anchor's own tensor when it is alone
+    anchor, _, anchor_type, anchor_dist = specs[0]
     tensors = []
-    if len(specs) == 1:
-        name, _, _, dist = specs[0]
-        tensors.append(InteractionTensorSpec("t0", [name], dist,
+    for i, (name, _, datatype, dist) in enumerate(specs[1:] or specs):
+        if (dist, anchor_type) not in VALID_KINDS:
+            raise ConfigurationError(f"anchor {anchor!r} ({anchor_type}, {anchor_dist}) cannot "
+                                     f"share a {dist} tensor with {name!r} ({datatype}, {dist})")
+        modalities = [anchor] if name == anchor else [anchor, name]
+        tensors.append(InteractionTensorSpec(f"t{i}", modalities, dist,
                                              args.sigma2 if dist == "gaussian" else None))
-    else:
-        anchor = specs[0][0]
-        for i, (name, _, _, dist) in enumerate(specs[1:]):
-            sigma2 = args.sigma2 if dist == "gaussian" else None
-            tensors.append(InteractionTensorSpec(f"t{i}", [anchor, name], dist, sigma2))
     spec = ModelSpec(rank=args.rank, tensors=tensors, init_seed=args.seed)
     observations, truth = data_io.synth_generate(
         spec, sizes, datatypes, args.patients,

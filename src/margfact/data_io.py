@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, IngestionError
+from .errors import ConfigurationError, IngestionError, check_setting
 from .likelihoods import (BINARY, INTEGER, POISSON, REAL, GaussianParams,
                           ObservationKind, gaussian_binary_prob)
 from .tensor import multiplicity, reconstruct_marginal
@@ -439,12 +439,11 @@ def synth_generate(model_spec, modality_sizes, datatypes, n_patients,
     modality referenced by several tensors is sampled from the first
     tensor that lists it.
     """
-    if n_patients < 1 or any(size < 1 for size in modality_sizes.values()):
-        raise ConfigurationError(f"the patient count and every modality size must be >= 1, "
-                                 f"got {n_patients!r} and {modality_sizes!r}")
-    if not (0.0 < sparsity <= 1.0 and 0.0 < scale < math.inf):
-        raise ConfigurationError(f"sparsity must lie in (0, 1] and scale must be positive "
-                                 f"and finite, got {sparsity!r} and {scale!r}")
+    check_setting("synth", "patients", n_patients, 1, integral=True)
+    for name, size in modality_sizes.items():
+        check_setting("synth", f"size of {name!r}", size, 1, integral=True)
+    check_setting("synth", "sparsity", sparsity, 0, 1, open_low=True)
+    check_setting("synth", "scale", scale, 0, open_low=True)
     rng = np.random.default_rng(seed)
     R = model_spec.rank
     shared = _planted_factor(rng, n_patients, R, sparsity, scale)

@@ -1,9 +1,11 @@
 """Downstream predictive evaluation: lasso-logistic regression and AUPRC."""
 
+import dataclasses
+
 import numpy as np
 
 from .data_io import _take_patients, class_permutations, stratified_split
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_setting
 from .model import build_model, project_patients
 from .solver import train
 
@@ -96,12 +98,15 @@ def five_fold_cv(observations, labels, model_spec, solver_cfg=None, n_folds=5, s
     Each fold: fit the factorization on the training patients, project the
     test patients, select lambda on an inner 80/20 validation split of the
     training representations, refit, and score the held-out fold. lambda is
-    chosen from LAMBDA_GRID.
+    chosen from LAMBDA_GRID. Fit and projection both run under solver_cfg,
+    model_spec's own solver when None.
     """
+    check_setting("cross-validation", "n_folds", n_folds, 2, integral=True)
+    check_setting("cross-validation", "seed", seed, 0, integral=True)
+    if solver_cfg is not None:
+        model_spec = dataclasses.replace(model_spec, solver=solver_cfg)
     labels = np.asarray(labels, dtype=int)
     n = len(labels)
-    if n_folds < 2:
-        raise ConfigurationError(f"cross-validation needs at least 2 folds, got {n_folds!r}")
     if int(labels.sum()) < n_folds or int((1 - labels).sum()) < n_folds:
         raise ConfigurationError(f"need at least {n_folds} patients per class")
     folds = _stratified_folds(labels, n_folds, seed)
@@ -113,9 +118,9 @@ def five_fold_cv(observations, labels, model_spec, solver_cfg=None, n_folds=5, s
         y_train, y_test = labels[train_idx], labels[test_idx]
 
         model = build_model(model_spec, train_obs)
-        train(model, solver_cfg)
+        train(model)
         X_train = model.shared
-        X_test = project_patients(model, test_obs, solver_cfg)
+        X_test = project_patients(model, test_obs)
 
         lam = _select_lambda(X_train, y_train, seed + fold_id)
         w, b = lasso_logistic_fit(X_train, y_train, lam)

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_setting
+
 EPS = 1e-12
 
 POISSON = "poisson"
@@ -66,10 +68,8 @@ class GaussianParams:
     t_n: int
 
     def __post_init__(self):
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
-        if self.t_n < 1:
-            raise ValueError("t_n must be a positive integer")
+        check_setting("gaussian params", "sigma2", self.sigma2, 0, open_low=True)
+        check_setting("gaussian params", "t_n", self.t_n, 1, integral=True)
 
 
 def erf(x):

@@ -25,16 +25,15 @@ adds the cells one at a time in order, so every block size gives the same
 bits.
 """
 
-import numbers
 import os
 from collections import namedtuple
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import likelihoods as lk
 from .data_io import check_modality_name, load_factors, read_json, save_factors, write_json
-from .errors import ConfigurationError
+from .errors import ConfigurationError, Settings, check_keys, check_setting
 from .regularizers import (RegularizerConfig, angular_penalty,
                            angular_penalty_grad, elastic_net, elastic_net_grad)
 from .tensor import marginal_scales, multiplicity, reconstruct_marginal
@@ -67,51 +66,43 @@ BLOCK_CELLS = 1 << 12
 
 
 @dataclass
-class InteractionTensorSpec:
+class InteractionTensorSpec(Settings):
     id: str
     modalities: list
     distribution: str  # "poisson" | "gaussian"
-    sigma2: float = None
+    sigma2: float = None  # gaussian tensors only
 
     def __post_init__(self):
+        if not (isinstance(self.id, str) and isinstance(self.modalities, list | tuple)
+                and self.modalities):
+            raise ConfigurationError(f"tensor {self.id!r}: the id must be a string and the "
+                                     "modalities a list of at least one name")
         for m in self.modalities:
             check_modality_name(m, ConfigurationError)
-        if len(self.modalities) < 1:
-            raise ConfigurationError(f"tensor {self.id!r} must reference at least one modality")
         if len(set(self.modalities)) != len(self.modalities):
             raise ConfigurationError(f"tensor {self.id!r} lists a modality more than once")
-        if self.distribution not in (lk.POISSON, lk.GAUSSIAN):
+        if self.distribution == lk.GAUSSIAN:
+            check_setting(f"tensor {self.id!r}", "sigma2", self.sigma2, 0, open_low=True)
+        elif self.distribution != lk.POISSON:
             raise ConfigurationError(f"tensor {self.id!r}: unknown distribution {self.distribution!r}")
-        if self.distribution == lk.GAUSSIAN and (self.sigma2 is None or self.sigma2 <= 0):
-            raise ConfigurationError(f"tensor {self.id!r}: gaussian tensors need sigma2 > 0")
+        elif self.sigma2 is not None:
+            raise ConfigurationError(f"tensor {self.id!r}: a poisson tensor takes no sigma2")
 
 
 @dataclass
-class SolverConfig:
+class SolverConfig(Settings):
     max_sweeps: int = 5000
     tol: float = 1e-6
     step0: float = 1e-2  # the first step only: later searches start where the last one ended
     log_every: int = 10
+    # settings that became the constants ARMIJO_C, BACKTRACK and MAX_HALVINGS
+    RETIRED = ("armijo_c", "backtrack", "max_halvings")
 
     def __post_init__(self):
-        for f in fields(self):
-            value, integral = getattr(self, f.name), isinstance(f.default, int)
-            if not isinstance(value, numbers.Integral if integral else numbers.Real):
-                raise ConfigurationError(f"solver config: {f.name} must be "
-                                         f"{'an integer' if integral else 'a number'}, "
-                                         f"got {value!r}")
-        if self.max_sweeps < 0 or self.tol <= 0 or self.step0 <= 0 or self.log_every < 1:
-            raise ConfigurationError("solver config: max_sweeps >= 0, tol > 0, step0 > 0 "
-                                     "and log_every >= 1 required")
-
-    def to_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d):
-        """Inverse of to_dict; keys that are not fields (old armijo_c, backtrack,
-        max_halvings) are ignored."""
-        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
+        check_setting("solver", "max_sweeps", self.max_sweeps, 0, integral=True)
+        check_setting("solver", "tol", self.tol, 0, open_low=True)
+        check_setting("solver", "step0", self.step0, 0, open_low=True)
+        check_setting("solver", "log_every", self.log_every, 1, integral=True)
 
 
 @dataclass
@@ -123,30 +114,26 @@ class ModelSpec:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if not isinstance(self.rank, numbers.Integral) or self.rank < 1:
-            raise ConfigurationError(f"rank must be an integer >= 1, got {self.rank!r}")
-        if not isinstance(self.init_seed, numbers.Integral) or self.init_seed < 0:
-            raise ConfigurationError(f"seed must be an integer >= 0, got {self.init_seed!r}")
+        check_setting("spec", "rank", self.rank, 1, integral=True)
+        check_setting("spec", "seed", self.init_seed, 0, integral=True)
+        if not isinstance(self.tensors, list | tuple) or not self.tensors:
+            raise ConfigurationError("spec: tensors must be a list of at least one tensor")
         ids = [t.id for t in self.tensors]
         if len(set(ids)) != len(ids):
             raise ConfigurationError("tensor ids must be unique")
+        theta = self.regularizer.theta
+        if isinstance(theta, dict) and set(theta) != set(self.modality_order):
+            raise ConfigurationError(f"regularizer: theta names {list(theta)}, not the spec's "
+                                     f"modalities {self.modality_order}")
 
     @property
     def modality_order(self):
         """Unique modality names in first-reference order."""
-        seen = []
-        for t in self.tensors:
-            for m in t.modalities:
-                if m not in seen:
-                    seen.append(m)
-        return seen
+        return list(dict.fromkeys(m for t in self.tensors for m in t.modalities))
 
     def to_dict(self):
         return {"rank": self.rank, "seed": self.init_seed,
-                "tensors": [{"id": t.id, "modalities": list(t.modalities),
-                             "distribution": t.distribution,
-                             **({"sigma2": t.sigma2} if t.sigma2 is not None else {})}
-                            for t in self.tensors],
+                "tensors": [t.to_dict() for t in self.tensors],
                 "regularizer": self.regularizer.to_dict(),
                 "solver": self.solver.to_dict()}
 
@@ -154,15 +141,19 @@ class ModelSpec:
     def from_dict(cls, d, source="model spec"):
         """Inverse of to_dict; malformed input raises ConfigurationError naming source."""
         try:
-            tensors = [InteractionTensorSpec(t["id"], t["modalities"], t["distribution"],
-                                             t.get("sigma2")) for t in d["tensors"]]
+            check_keys("spec", d, ("rank", "seed", "tensors", "regularizer", "solver"))
+            tensors = d["tensors"]
+            if isinstance(tensors, list):  # ModelSpec refuses any other value
+                tensors = [InteractionTensorSpec.from_dict(t, f"tensor {i}")
+                           for i, t in enumerate(tensors)]
             return cls(rank=d["rank"], tensors=tensors,
-                       regularizer=RegularizerConfig.from_dict(d.get("regularizer", {})),
+                       regularizer=RegularizerConfig.from_dict(d.get("regularizer", {}),
+                                                               "regularizer"),
                        init_seed=d.get("seed", 0),
-                       solver=SolverConfig.from_dict(d.get("solver", {})))
+                       solver=SolverConfig.from_dict(d.get("solver", {}), "solver"))
         except KeyError as exc:
             raise ConfigurationError(f"{source}: missing key {exc}") from exc
-        except (AttributeError, TypeError, ValueError, ConfigurationError) as exc:
+        except ConfigurationError as exc:
             raise ConfigurationError(f"{source}: {exc}") from exc
 
     def save(self, path):
@@ -348,10 +339,6 @@ class Model:
         self.trace = None
         self._terms = None
 
-    @property
-    def shared_ids(self):
-        return next(iter(self.observations.values())).shared_ids
-
     def compiled_terms(self):
         """One Term per (tensor, target modality), built on the first call."""
         if self._terms is None:
@@ -476,18 +463,19 @@ def projected_step(values, grad, eval_rows, f_current, eta):
     return out.reshape(values.shape), f, ~pending, next_eta
 
 
-def project_patients(model, new_obs, cfg=None):
+def project_patients(model, new_obs):
     """Representation of new patients under frozen modality factors.
 
     Solves the shared-row NLL minimization per row with projected gradient
-    and per-row backtracking; rows are fully independent subproblems, and
-    each row's search starts from the step its last search left (cfg.step0
-    at first). A row stops once a sweep lowers its NLL by less than cfg.tol
-    (relative); each sweep differentiates and evaluates only the rows still
-    active. Cold start at the column means of the trained shared factor.
-    new_obs must pass build_model's checks and match the training datatypes and item order.
+    and per-row backtracking, under the model's own solver settings; rows
+    are fully independent subproblems, and each row's search starts from
+    the step its last search left (step0 at first). A row stops once a
+    sweep lowers its NLL by less than tol (relative); each sweep
+    differentiates and evaluates only the rows still active. Cold start at
+    the column means of the trained shared factor. new_obs must pass
+    build_model's checks and match the training datatypes and item order.
     """
-    cfg = cfg or model.spec.solver
+    cfg = model.spec.solver
     n_new = len(_check_observations(model.spec, new_obs))
     for name in model.spec.modality_order:
         obs, trained = new_obs[name], model.observations[name]

@@ -6,39 +6,34 @@ one-sided derivative from the non-negative side, and zero columns
 contribute cosine 0 (no penalty, no gradient).
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .errors import Settings, check_setting
+
 
 @dataclass
-class RegularizerConfig:
+class RegularizerConfig(Settings):
     gamma: float = 1e-5   # elastic-net weight
     alpha: float = 0.7    # l2 / l1 mixing
     beta: float = 1.0     # angular weight
     theta: float | dict = 0.5  # angular threshold, scalar or per-modality map
 
     def __post_init__(self):
-        if self.gamma < 0 or self.beta < 0:
-            raise ValueError("regularizer weights must be non-negative")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValueError("alpha must lie in [0, 1]")
-        thetas = self.theta.values() if isinstance(self.theta, dict) else [self.theta]
-        if any(not (0.0 <= t <= 1.0) for t in thetas):
-            raise ValueError("theta must lie in [0, 1]")
+        check_setting("regularizer", "gamma", self.gamma, 0)
+        check_setting("regularizer", "alpha", self.alpha, 0, 1)
+        check_setting("regularizer", "beta", self.beta, 0)
+        if isinstance(self.theta, dict):
+            for modality, theta in self.theta.items():
+                check_setting("regularizer", f"theta[{modality!r}]", theta, 0, 1)
+        else:
+            check_setting("regularizer", "theta", self.theta, 0, 1)
 
     def theta_for(self, modality):
-        if isinstance(self.theta, dict):
-            return self.theta.get(modality, 0.5)
-        return self.theta
-
-    def to_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
+        """The threshold of modality; a map must name it (ModelSpec checks this)."""
+        return self.theta[modality] if isinstance(self.theta, dict) else self.theta
 
 
 def elastic_net(factors, cfg):

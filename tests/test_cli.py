@@ -3,15 +3,20 @@ import copy
 import csv
 import io
 import json
+import math
 import os
+import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from margfact import ObservationKind, ObservationMatrix, save_observations
-from margfact.cli import main
+from margfact import (ConfigurationError, CorrespondenceRow, GaussianParams, ObservationKind,
+                      ObservationMatrix, Phenotype, extract_phenotypes, five_fold_cv,
+                      save_observations, synth_generate)
+from margfact.analysis import top_k_items
+from margfact.cli import _parse_modality_token, main
 from margfact.model import InteractionTensorSpec, ModelSpec, SolverConfig
 from margfact.regularizers import RegularizerConfig
 
@@ -108,6 +113,17 @@ class TestSynth:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
+
+    def test_anchor_its_partner_cannot_hold_usage_error(self, tmp_path, capsys):
+        code = run("synth", "--modality", "A:4:real:gaussian", "--modality",
+                   "B:3:integer:poisson", "--sigma2", "1.0", "--out", str(tmp_path / "x"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert all(word in err for word in ("'A'", "real", "gaussian", "'B'", "integer",
+                                            "poisson"))
         assert not (tmp_path / "x").exists()
 
 
@@ -516,7 +532,8 @@ class TestMalformedInput:
 
 NOT_STRING = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
                        st.lists(st.integers(), max_size=2))
-NOT_NUMBER = st.one_of(st.none(), st.text(max_size=3), st.lists(st.integers(), max_size=2))
+NOT_NUMBER = st.one_of(st.none(), st.text(max_size=3), st.lists(st.integers(), max_size=2),
+                       st.sampled_from([math.nan, math.inf, -math.inf]), st.booleans())
 NOT_LIST = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False))
 KINDS = {"poisson-integer", "poisson-binary", "gaussian-real", "gaussian-binary"}
 BAD_KIND = st.one_of(st.sampled_from(["poisson-real", "gaussian-integer", "poisson",
@@ -593,6 +610,107 @@ class TestMalformedInputFuzz:
         code, stderr = train_on(dataset, spec_text=data.draw(broken(dataset[2], SPEC_FAULTS)))
         assert code in (2, 3)
         assert stderr.count("\n") == 1
+
+
+BAD_NUMBERS = [math.nan, math.inf, -math.inf, True, "x"]
+SPEC = ModelSpec(rank=2, tensors=[InteractionTensorSpec("t0", ["A", "B"], "poisson")])
+SYNTH_KINDS = {"A": "integer", "B": "integer"}
+ROW = CorrespondenceRow("A", "a0", "B", ["b0"], np.ones(1), 1)
+
+# every numeric setting: (field named in the error, path of its key in spec.json
+# or None, a value out of its range, the call that takes the value)
+SETTINGS = {
+    "max_sweeps": ("max_sweeps", ("solver", "max_sweeps"), -1,
+                   lambda v: SolverConfig(max_sweeps=v)),
+    "tol": ("tol", ("solver", "tol"), 0.0, lambda v: SolverConfig(tol=v)),
+    "step0": ("step0", ("solver", "step0"), -1e-3, lambda v: SolverConfig(step0=v)),
+    "log_every": ("log_every", ("solver", "log_every"), 0, lambda v: SolverConfig(log_every=v)),
+    "gamma": ("gamma", ("regularizer", "gamma"), -1.0, lambda v: RegularizerConfig(gamma=v)),
+    "alpha": ("alpha", ("regularizer", "alpha"), 1.5, lambda v: RegularizerConfig(alpha=v)),
+    "beta": ("beta", ("regularizer", "beta"), -0.5, lambda v: RegularizerConfig(beta=v)),
+    "theta": ("theta", ("regularizer", "theta"), 1.5, lambda v: RegularizerConfig(theta=v)),
+    "theta map": ("theta['A']", ("regularizer", "theta", "A"), 2.0,
+                  lambda v: RegularizerConfig(theta={"A": v, "B": 0.5})),
+    "rank": ("rank", ("rank",), 0, lambda v: ModelSpec(rank=v, tensors=SPEC.tensors)),
+    "seed": ("seed", ("seed",), -1, lambda v: ModelSpec(rank=2, tensors=SPEC.tensors,
+                                                         init_seed=v)),
+    "sigma2": ("sigma2", ("tensors", 0, "sigma2"), 0.0,
+               lambda v: InteractionTensorSpec("t0", ["A", "B"], "gaussian", v)),
+    "gaussian sigma2": ("sigma2", None, 0.0, lambda v: GaussianParams(v, 1)),
+    "gaussian t_n": ("t_n", None, 0, lambda v: GaussianParams(1.0, v)),
+    "synth patients": ("patients", None, 0,
+                       lambda v: synth_generate(SPEC, {"A": 3, "B": 3}, SYNTH_KINDS, v)),
+    "synth size": ("size of 'A'", None, 0,
+                   lambda v: synth_generate(SPEC, {"A": v, "B": 3}, SYNTH_KINDS, 5)),
+    "synth sparsity": ("sparsity", None, 0.0, lambda v: synth_generate(
+        SPEC, {"A": 3, "B": 3}, SYNTH_KINDS, 5, sparsity=v)),
+    "synth scale": ("scale", None, 0.0, lambda v: synth_generate(
+        SPEC, {"A": 3, "B": 3}, SYNTH_KINDS, 5, scale=v)),
+    "--modality size": ("size", None, 0,
+                        lambda v: _parse_modality_token(f"A:{v}:integer:poisson")),
+    "--k": ("k", None, 0, lambda v: top_k_items(Phenotype(0, {}), v)),
+    "--top": ("k", None, 0, ROW.top),
+    "--folds": ("n_folds", None, 1, lambda v: five_fold_cv({}, [], SPEC, n_folds=v)),
+    "--threshold": ("weight_threshold", None, 1.5, lambda v: extract_phenotypes(None, v)),
+}
+
+
+def spec_with(dataset, path, value):
+    """The JSON text of the dataset's spec with the key at path set to value
+    (a theta map, or a gaussian tensor, made first where path needs one)."""
+    doc = copy.deepcopy(dataset[2])
+    if path[:2] == ("regularizer", "theta") and len(path) == 3:
+        doc["regularizer"]["theta"] = {"A": 0.5, "B": 0.5}
+    if path[-1] == "sigma2":
+        doc["tensors"][0]["distribution"] = "gaussian"
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return json.dumps(doc)
+
+
+def assert_refused(dataset, spec_text, named):
+    """train on spec_text exits 2 with one stderr line naming `named`, writing no model."""
+    code, stderr = train_on(dataset, spec_text=spec_text)
+    assert code == 2
+    assert stderr.startswith("usage error: ") and stderr.count("\n") == 1
+    assert named in stderr and "Traceback" not in stderr
+    assert not (dataset[0] / "case_model").exists()
+
+
+class TestSettingsRule:
+    @pytest.mark.parametrize("setting", list(SETTINGS))
+    def test_nan_inf_bool_string_and_out_of_range_are_refused(self, dataset, setting):
+        field, path, out_of_range, call = SETTINGS[setting]
+        for value in BAD_NUMBERS + [out_of_range]:
+            with pytest.raises(ConfigurationError, match=re.escape(f"{field} must be")):
+                call(value)
+            if path is not None:
+                assert_refused(dataset, spec_with(dataset, path, value), f"{field} must be")
+
+    @pytest.mark.parametrize("path", [("solver", "max_sweep"), ("regularizer", "gama"),
+                                      ("tensors", 0, "sigma"), ("extra",)])
+    def test_unknown_key_is_refused(self, dataset, path):
+        assert_refused(dataset, spec_with(dataset, path, 3), f"unknown key {path[-1]!r}")
+
+    def test_spec_without_tensors_is_refused(self, dataset):
+        with pytest.raises(ConfigurationError, match="at least one tensor"):
+            ModelSpec(rank=2, tensors=[])
+        assert_refused(dataset, spec_with(dataset, ("tensors",), []), "at least one tensor")
+
+    @pytest.mark.parametrize("theta", [{"A": 0.1}, {"A": 0.1, "B": 0.2, "C": 0.3}])
+    def test_theta_map_must_name_exactly_the_modalities(self, dataset, theta):
+        with pytest.raises(ConfigurationError, match="theta"):
+            ModelSpec(rank=2, tensors=SPEC.tensors, regularizer=RegularizerConfig(theta=theta))
+        assert_refused(dataset, spec_with(dataset, ("regularizer", "theta"), theta), "theta")
+
+    def test_poisson_tensor_with_sigma2_is_refused(self, dataset):
+        with pytest.raises(ConfigurationError, match="sigma2"):
+            InteractionTensorSpec("t0", ["A", "B"], "poisson", 1.0)
+        assert_refused(dataset, edited(dataset[2], lambda s: s["tensors"][0].update(sigma2=1.0)),
+                       "sigma2")
 
 
 def test_correspondence_csv_quotes_ids(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from margfact import RegularizerConfig, angular_penalty, elastic_net
+from margfact import ConfigurationError, RegularizerConfig, angular_penalty, elastic_net
 from margfact.regularizers import angular_penalty_grad, elastic_net_grad
 
 from conftest import assert_grad_close, central_difference
@@ -120,11 +120,11 @@ class TestAngularPenalty:
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         RegularizerConfig(gamma=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         RegularizerConfig(alpha=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         RegularizerConfig(theta=-0.1)
 
 

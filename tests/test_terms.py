@@ -67,7 +67,8 @@ CASES = {"random": random_cells, "all_zero": all_zero,
 
 def build(modalities, values, density, monkeypatch, zero_row=None, rank=3):
     spec = ModelSpec(rank=rank, tensors=[InteractionTensorSpec("t", list(modalities), "poisson")],
-                     regularizer=RegularizerConfig(gamma=1e-3, beta=0.5), init_seed=5)
+                     regularizer=RegularizerConfig(gamma=1e-3, beta=0.5), init_seed=5,
+                     solver=SolverConfig(max_sweeps=20))  # bounds project_patients' sweeps
     obs = {m: make_obs(m, values[m], "poisson", KINDS[m]) for m in modalities}
     with monkeypatch.context() as patch:
         patch.setattr(mmodel, "SPARSE_DENSITY", density)
@@ -146,7 +147,8 @@ def test_density_rule(distribution, density, sparse):
     V[rng.choice(n * m, size=round(density * n * m), replace=False)] = 1.0
     kind = ("poisson", "integer") if distribution == "poisson" else ("gaussian", "real")
     obs = make_obs("A", V.reshape(n, m), *kind)
-    tensor = InteractionTensorSpec("t", ["A"], distribution, 1.0)
+    tensor = InteractionTensorSpec("t", ["A"], distribution,
+                                   1.0 if distribution == "gaussian" else None)
     assert (Term(tensor, 0, obs, 1).cells is not None) is sparse
 
 
@@ -171,8 +173,7 @@ def test_blocks_give_the_one_block_result_bit_for_bit(modalities, case, rank, mo
             S = sparse.shared[rows]
             for t in sparse.compiled_terms():
                 out += [t.nll(S, sparse.factors, rows), t.gradient(S, sparse.factors, rows=rows)]
-            out.append(mmodel.project_patients(sparse, sparse.observations,
-                                               SolverConfig(max_sweeps=20)))
+            out.append(mmodel.project_patients(sparse, sparse.observations))
         return out
 
     for got, want in zip(outputs(block), outputs(10 ** 9), strict=True):

@@ -1,6 +1,7 @@
 """Batch front door: synth / train / correspondence / phenotypes / metrics / evaluate.
 
-Exit codes: 0 success, 2 usage, 3 ingestion, 4 numeric failure.
+Exit codes: 0 success, 2 usage, 3 ingestion, 4 numeric failure or a request
+for more memory than there is.
 """
 
 import argparse
@@ -82,16 +83,20 @@ def cmd_train(args):
     return 0
 
 
+def _tensor_of(model, tensor_id, anchor_modality, target):
+    """tensor_id, or when None the first of the model's tensors holding both modalities."""
+    if tensor_id is not None:
+        return tensor_id
+    for t in model.spec.tensors:
+        if anchor_modality in t.modalities and target in t.modalities:
+            return t.id
+    raise ConfigurationError(f"no tensor contains both {anchor_modality!r} and {target!r}")
+
+
 def cmd_correspondence(args):
     model = _load_model(args)
     anchor_modality, _, anchor_item = args.anchor.partition(":")
-    tensor_id = args.tensor
-    if tensor_id is None:
-        candidates = [t for t in model.spec.tensors
-                      if anchor_modality in t.modalities and args.target in t.modalities]
-        if not candidates:
-            raise ConfigurationError(f"no tensor contains both {anchor_modality!r} and {args.target!r}")
-        tensor_id = candidates[0].id
+    tensor_id = _tensor_of(model, args.tensor, anchor_modality, args.target)
     row = analysis.extract_correspondence(model, tensor_id, anchor_modality,
                                           anchor_item, args.target)
     out_path = args.out or "correspondence.csv"
@@ -115,6 +120,11 @@ def cmd_phenotypes(args):
 
 
 def cmd_metrics(args):
+    if args.annotations:
+        for flag, value in (("--anchor-modality", args.anchor_modality),
+                            ("--target", args.target)):
+            if value is None:
+                raise ConfigurationError(f"--annotations needs {flag}")
     model = _load_model(args)
     phenotypes = analysis.extract_phenotypes(model)
     doc = {"sparsity": analysis.sparsity(model.factors),
@@ -123,9 +133,10 @@ def cmd_metrics(args):
            "k": args.k}
     if args.annotations:
         annotations = data_io.read_annotations(args.annotations)
+        tensor_id = _tensor_of(model, args.tensor, args.anchor_modality, args.target)
         meaningfulness = {}
         for anchor_item, ann in annotations.items():
-            row = analysis.extract_correspondence(model, args.tensor, args.anchor_modality,
+            row = analysis.extract_correspondence(model, tensor_id, args.anchor_modality,
                                                   anchor_item, args.target)
             meaningfulness[anchor_item] = analysis.meaningfulness_score(row, ann)
         doc["meaningfulness"] = meaningfulness
@@ -233,6 +244,9 @@ def main(argv=None):
         return EXIT_USAGE
     except (NumericError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

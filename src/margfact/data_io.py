@@ -107,16 +107,22 @@ def _check_values(modality, kind, values):
         raise IngestionError(f"{modality}: non-binary value in binary-kind matrix")
 
 
+def _note_line(first_line, key, path, lineno, what):
+    """Record key's line in first_line; a key already there raises
+    IngestionError naming this line and the first."""
+    if key in first_line:
+        raise IngestionError(f"{path}:{lineno}: duplicate {what} "
+                             f"(first on line {first_line[key]})")
+    first_line[key] = lineno
+
+
 def _read_vocab(path):
     first_line = {}  # item -> line number, in file order
     with _open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             item = line.rstrip("\r\n")
-            if item in first_line:
-                raise IngestionError(f"{path}:{lineno}: duplicate vocabulary item {item!r} "
-                                     f"(first on line {first_line[item]})")
             if item:
-                first_line[item] = lineno
+                _note_line(first_line, item, path, lineno, f"vocabulary item {item!r}")
     return list(first_line)
 
 
@@ -310,7 +316,7 @@ def load_factors(model_dir, names, observations, rank):
 
 def read_annotations(path):
     """anchor item -> {target item: relevance score in 0, 1, 2} from an annotation CSV."""
-    annotations = {}
+    annotations, first_line = {}, {}
     with _open(path) as fh:
         reader = csv.reader(fh)
         if next(reader, None) != ["anchor_item", "target_item", "score"]:
@@ -318,6 +324,8 @@ def read_annotations(path):
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 3 or row[2] not in ("0", "1", "2"):
                 raise IngestionError(f"{path}:{lineno}: expected anchor,target,score in {{0,1,2}}")
+            _note_line(first_line, (row[0], row[1]), path, lineno,
+                       f"annotation of {row[0]!r}, {row[1]!r}")
             annotations.setdefault(row[0], {})[row[1]] = int(row[2])
     return annotations
 
@@ -340,7 +348,7 @@ def binarize(obs):
 
 def load_labels(path, shared_ids):
     """Read patient_id,label CSV aligned to shared_ids; returns int array."""
-    labels = {}
+    labels, first_line = {}, {}
     with _open(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -349,6 +357,7 @@ def load_labels(path, shared_ids):
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 2 or row[1] not in ("0", "1"):
                 raise IngestionError(f"{path}:{lineno}: expected patient_id,label with label in {{0,1}}")
+            _note_line(first_line, row[0], path, lineno, f"label for patient {row[0]!r}")
             labels[row[0]] = int(row[1])
     try:
         return np.array([labels[p] for p in shared_ids], dtype=int)

@@ -24,8 +24,8 @@ def _sigmoid(z):
     return out
 
 
-def _logistic_loss(X, y, w, b):
-    z = X @ w + b
+def _logistic_loss(z, y):
+    """Mean logistic loss of the scores z = X @ w + b."""
     # log(1 + e^-z) stable for both signs
     return float(np.mean(np.logaddexp(0.0, -z) + (1.0 - y) * z))
 
@@ -47,15 +47,17 @@ def lasso_logistic_fit(X, y, lam):
     step = 1.0 / L
     w = np.zeros(d)
     b = 0.0
-    obj = _logistic_loss(X, y, w, b) + lam * np.sum(np.abs(w))
+    z = X @ w + b  # each iterate is scored once: its objective and the next gradient
+    obj = _logistic_loss(z, y) + lam * np.sum(np.abs(w))
     for _ in range(MAX_ITER):
-        p = _sigmoid(X @ w + b)
+        p = _sigmoid(z)
         gw = X.T @ (p - y) / n
         gb = float(np.mean(p - y))
         w_new = w - step * gw
         w_new = np.sign(w_new) * np.maximum(0.0, np.abs(w_new) - step * lam)
         b_new = b - step * gb
-        obj_new = _logistic_loss(X, y, w_new, b_new) + lam * np.sum(np.abs(w_new))
+        z = X @ w_new + b_new
+        obj_new = _logistic_loss(z, y) + lam * np.sum(np.abs(w_new))
         w, b = w_new, b_new
         if abs(obj - obj_new) <= TOL * max(1.0, abs(obj)):
             obj = obj_new

@@ -15,14 +15,19 @@ observed cells. Every other term runs the dense kernels on the whole
 matrix. objective, gradient_block and project_patients all go through the
 compiled list.
 
-A sparse term's kernels gather the shared and item factor rows at its cells
-a block of whole rows (for the target's gradient, of whole columns) at a
-time, each block holding about BLOCK_CELLS cells. So no temporary grows with
-cells x rank: the fit's memory is set by the block, not by the observations,
-and each block's gathers stay in cache. Per-row and per-column sums never
-cross a block, and a sum over all cells runs on a whole per-cell vector or
-adds the cells one at a time in order, so every block size gives the same
-bits.
+Every sparse gradient is one product summed per run of cells, Gᵀ X with
+G = 1 - W: the shared gradient runs it on the cells row by row (X the
+scaled item factor), a modality's on the cells column by column (X = S), as
+M = Gᵀ S. The target's gradient is M times the column scales; any other
+modality of the tensor reaches vhat only through its column sums, so its
+gradient is that column-sum scale times sum_l M_l * B_l.
+
+The sparse kernels gather the factor rows at the cells a block of whole runs
+at a time, each block holding about BLOCK_CELLS cells. So no temporary grows
+with cells x rank: the fit's memory is set by the block, not by the
+observations, and each block's gathers stay in cache. Per-run sums never
+cross a block, and a sum over all cells runs on a whole per-cell vector, so
+every block size gives the same bits.
 """
 
 import os
@@ -189,13 +194,14 @@ def _run_blocks(ptr):
         start = stop
 
 
-#: Cells of some rows: each cell's row of S, column and value, row by row,
-#: and the rows' run pointers.
-Selection = namedtuple("Selection", "S_row col val ptr")
+#: Cells in runs: each cell's row of X, its row of Y and its value, run by
+#: run, and the runs' pointers. A run is a row of the observations (X = S, Y
+#: the items) or, transposed, a column (X the items, Y = S).
+Selection = namedtuple("Selection", "X_row Y_row val ptr")
 
-#: One block of a Selection: its rows and cells (slices), S and Bs at the
-#: cells, vhat there and the rows' run pointers within the block.
-Block = namedtuple("Block", "rows cells S Bs vhat ptr")
+#: One block of a Selection: its runs and cells (slices), X and Y at the
+#: cells, vhat there and the runs' pointers within the block.
+Block = namedtuple("Block", "runs cells X Y vhat ptr")
 
 
 class Cells:
@@ -224,13 +230,18 @@ class Cells:
         return Selection(np.repeat(np.arange(len(rows)), counts), self.cols[pos],
                          self.vals[pos], ptr)
 
+    def columns(self):
+        """The Selection of every cell column by column, rows and columns swapped."""
+        at = self.by_col
+        return Selection(self.cols[at], self.rows[at], self.vals[at], self.col_ptr)
 
-def _row_blocks(S, Bs, sel):
-    """The Blocks of whole rows of a Selection, in order."""
+
+def _row_blocks(X, Y, sel):
+    """The Blocks of whole runs of a Selection, in order."""
     for start, stop, lo, hi in _run_blocks(sel.ptr):
-        S_at, Bs_at = S.take(sel.S_row[lo:hi], axis=0), Bs.take(sel.col[lo:hi], axis=0)
-        yield Block(slice(start, stop), slice(lo, hi), S_at, Bs_at,
-                    np.einsum("ij,ij->i", S_at, Bs_at), sel.ptr[start:stop + 1] - lo)
+        X_at, Y_at = X.take(sel.X_row[lo:hi], axis=0), Y.take(sel.Y_row[lo:hi], axis=0)
+        yield Block(slice(start, stop), slice(lo, hi), X_at, Y_at,
+                    np.einsum("ij,ij->i", X_at, Y_at), sel.ptr[start:stop + 1] - lo)
 
 
 class Term:
@@ -291,37 +302,23 @@ class Term:
                 return (G.T @ S) * scales
             # non-target modality: vhat depends on it only through its column sums
             return marginal_scales(blocks, self.k, j) * np.einsum("ic,il,lc->c", S, G, B)
-        # G = 1 - W, with W = poisson_weight nonzero on the observed cells only
         Bs = B * scales
-        sel = self.cells.select(rows)
-        weighted = ((b, lk.poisson_weight(self.kind.datatype, sel.val[b.cells], b.vhat))
-                    for b in _row_blocks(S, Bs, sel))
         if j is None:
-            grad, Bs_sum = np.empty_like(S), Bs.sum(axis=0)
-            for b, W in weighted:
-                grad[b.rows] = Bs_sum - _run_sums(W[:, None] * b.Bs, b.ptr)
-            return grad
-        if j == self.k:  # W * S summed per column, a block of whole columns at a time
-            W_cells = np.empty(sel.val.size)
-            for b, W in weighted:
-                W_cells[b.cells] = W
-            c = self.cells
-            grad, S_sum = np.empty_like(B), S.sum(axis=0)
-            for start, stop, lo, hi in _run_blocks(c.col_ptr):
-                at = c.by_col[lo:hi]
-                WS = W_cells[at, None] * S.take(c.rows[at], axis=0)
-                grad[start:stop] = (S_sum - _run_sums(WS, c.col_ptr[start:stop + 1] - lo)) * scales
-            return grad
-        # sum of W * S * B over the cells, added one cell at a time in row order (as
-        # einsum("i,ij,ij->j") adds them), so that the blocks do not change a bit
-        WSB = np.zeros(S.shape[1])
-        for b, W in weighted:
-            terms = np.empty((W.size + 1, WSB.size))
-            terms[0] = WSB
-            np.multiply(W[:, None], b.S, out=terms[1:])
-            terms[1:] *= B.take(sel.col[b.cells], axis=0)
-            WSB = np.add.accumulate(terms, axis=0, out=terms)[-1]
-        return marginal_scales(blocks, self.k, j) * (S.sum(axis=0) * B.sum(axis=0) - WSB)
+            return self._g_sums(S, Bs, self.cells.select(rows))
+        M = self._g_sums(Bs, S, self.cells.columns())  # Gᵀ S
+        if j == self.k:
+            return M * scales
+        return marginal_scales(blocks, self.k, j) * np.einsum("lc,lc->c", M, B)
+
+    def _g_sums(self, X, Y, sel):
+        """Per run of sel, the G-weighted sum of Y's rows, G = 1 - W with W =
+        poisson_weight nonzero on the observed cells only: sum(Y) less the sum
+        of W * Y over the run's cells."""
+        out, Y_sum = np.empty((sel.ptr.size - 1, Y.shape[1])), Y.sum(axis=0)
+        for b in _row_blocks(X, Y, sel):
+            W = lk.poisson_weight(self.kind.datatype, sel.val[b.cells], b.vhat)
+            out[b.runs] = Y_sum - _run_sums(W[:, None] * b.Y, b.ptr)
+        return out
 
 
 class Model:

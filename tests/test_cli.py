@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import csv
 import io
 import json
@@ -228,6 +229,33 @@ class TestTrain:
         assert not os.path.exists(tmp_path / "model")
 
 
+ABSURD_RANK = 10 ** 12  # numpy refuses the 218 TiB factor before allocating any of it
+
+
+class TestAbsurdRank:
+    def assert_out_of_memory(self, code, capsys, out):
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_synth(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        code = run("synth", "--rank", str(ABSURD_RANK), "--patients", "30",
+                   "--modality", "A:4:integer:poisson", "--out", str(out))
+        self.assert_out_of_memory(code, capsys, out)
+
+    def test_train(self, tmp_path, capsys):
+        manifest = synth_dataset(tmp_path / "data", patients=30)
+        spec = ModelSpec.load(write_quick_spec(tmp_path / "spec.json"))
+        dataclasses.replace(spec, rank=ABSURD_RANK).save(str(tmp_path / "spec.json"))
+        capsys.readouterr()
+        out = tmp_path / "model"
+        code = run("train", "--manifest", manifest, "--spec", str(tmp_path / "spec.json"),
+                   "--out", str(out))
+        self.assert_out_of_memory(code, capsys, out)
+
+
 @pytest.fixture()
 def trained(tmp_path):
     manifest = synth_dataset(tmp_path / "data", seed=3, patients=30)
@@ -371,6 +399,51 @@ class TestMetrics:
         assert scored
         assert all(v == pytest.approx(2.0) for v in scored)
 
+    def test_annotations_without_tensor_pick_the_tensor_of_both(self, trained):
+        manifest, model_dir, tmp_path = trained
+        ann = tmp_path / "ann.csv"
+        ann.write_text("anchor_item,target_item,score\n"
+                       + "".join(f"A_{i},B_{j},{(i + j) % 3}\n" for i in range(4) for j in range(5)))
+        docs = []
+        for tensor in ([], ["--tensor", "t0"]):
+            out = tmp_path / f"metrics{len(tensor)}.json"
+            code = run("metrics", "--manifest", manifest, "--model", model_dir,
+                       "--annotations", str(ann), *tensor,
+                       "--anchor-modality", "A", "--target", "B", "--out", str(out))
+            assert code == 0
+            docs.append(json.loads(out.read_text()))
+        assert docs[0] == docs[1] and len(docs[0]["meaningfulness"]) == 4
+
+    @pytest.mark.parametrize("missing", ["--anchor-modality", "--target"])
+    def test_annotations_without_modality_flag_usage_error(self, trained, capsys, missing):
+        manifest, model_dir, tmp_path = trained
+        ann = tmp_path / "ann.csv"
+        ann.write_text("anchor_item,target_item,score\nA_0,B_0,2\n")
+        flags = {"--anchor-modality": "A", "--target": "B"}
+        del flags[missing]
+        out = tmp_path / "metrics.json"
+        code = run("metrics", "--manifest", manifest, "--model", model_dir,
+                   "--annotations", str(ann), *[x for kv in flags.items() for x in kv],
+                   "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"usage error: --annotations needs {missing}\n"
+        assert not out.exists()
+
+    def test_duplicate_annotation_is_ingestion_error(self, trained, capsys):
+        manifest, model_dir, tmp_path = trained
+        ann = tmp_path / "ann.csv"
+        ann.write_text("anchor_item,target_item,score\nA_0,B_0,2\nA_0,B_0,0\n")
+        out = tmp_path / "m.json"
+        code = run("metrics", "--manifest", manifest, "--model", model_dir,
+                   "--annotations", str(ann), "--anchor-modality", "A", "--target", "B",
+                   "--out", str(out))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("ingestion error: ") and err.count("\n") == 1
+        assert "ann.csv:3: duplicate annotation" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["-0.5", "nan"])
     def test_bad_factor_entry_is_ingestion_error(self, trained, value):
         manifest, model_dir, tmp_path = trained
@@ -434,6 +507,19 @@ class TestEvaluate:
         (tmp_path / "labels.csv").write_text("patient_id,label\np0,1\n")
         code = run("evaluate", *args, "--out", str(tmp_path / "eval.json"))
         assert code == 3
+
+    def test_duplicate_label_is_ingestion_error(self, tmp_path, capsys):
+        args = evaluate_inputs(tmp_path)
+        with open(tmp_path / "labels.csv", "a") as fh:
+            fh.write("p0,1\n")
+        capsys.readouterr()
+        out = tmp_path / "eval.json"
+        code = run("evaluate", *args, "--out", str(out))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("ingestion error: ") and err.count("\n") == 1
+        assert "labels.csv:32: duplicate label for patient 'p0' (first on line 2)" in err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

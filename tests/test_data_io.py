@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from margfact import (ConfigurationError, IngestionError, InteractionTensorSpec, ModelSpec,
                       ObservationKind, ObservationMatrix, binarize, load_observations,
                       save_observations, split_train_test, synth_generate)
-from margfact.data_io import (load_labels, read_factor_csv, read_json, save_labels,
-                              stratified_split, write_factor_csv, write_json)
+from margfact.data_io import (load_labels, read_annotations, read_factor_csv, read_json,
+                              save_labels, stratified_split, write_factor_csv, write_json)
 
 from helpers import make_obs
 
@@ -99,6 +99,20 @@ class TestLoadSave:
         labels = np.array([0, 1, 1, 0, 0, 1])
         save_labels(tmp_path / "labels.csv", ids, labels)
         np.testing.assert_array_equal(load_labels(tmp_path / "labels.csv", ids), labels)
+
+    def test_duplicate_label_refused(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("patient_id,label\np0,0\np1,1\np0,1\n")
+        with pytest.raises(IngestionError, match=r"labels\.csv:4: duplicate label for patient "
+                                                 r"'p0' \(first on line 2\)"):
+            load_labels(path, ["p0", "p1"])
+
+    def test_duplicate_annotation_refused(self, tmp_path):
+        path = tmp_path / "ann.csv"
+        path.write_text("anchor_item,target_item,score\nA_0,B_0,2\nA_0,B_1,1\nA_0,B_0,0\n")
+        with pytest.raises(IngestionError, match=r"ann\.csv:4: duplicate annotation of "
+                                                 r"'A_0', 'B_0' \(first on line 2\)"):
+            read_annotations(path)
 
 
 # free-text ids as EHR exports hold them: commas, double quotes, both, and

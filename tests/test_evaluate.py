@@ -39,13 +39,13 @@ class TestLassoLogistic:
         L = 0.25 * np.linalg.norm(Xa, 2) ** 2 / n
         step = 1.0 / L
         w, b = np.zeros(d), 0.0
-        prev = _logistic_loss(X, y, w, b) + lam * np.sum(np.abs(w))
+        prev = _logistic_loss(X @ w + b, y) + lam * np.sum(np.abs(w))
         for _ in range(200):
             p = 1.0 / (1.0 + np.exp(-(X @ w + b)))
             w_new = w - step * (X.T @ (p - y) / n)
             w_new = np.sign(w_new) * np.maximum(0.0, np.abs(w_new) - step * lam)
             b_new = b - step * float(np.mean(p - y))
-            cur = _logistic_loss(X, y, w_new, b_new) + lam * np.sum(np.abs(w_new))
+            cur = _logistic_loss(X @ w_new + b_new, y) + lam * np.sum(np.abs(w_new))
             assert cur <= prev + 1e-12
             w, b, prev = w_new, b_new, cur
 

@@ -39,8 +39,11 @@ import numpy as np
 from . import likelihoods as lk
 from .data_io import check_modality_name, load_factors, read_json, save_factors, write_json
 from .errors import ConfigurationError, Settings, check_keys, check_setting
-from .regularizers import (RegularizerConfig, angular_penalty,
-                           angular_penalty_grad, elastic_net, elastic_net_grad)
+from .regularizers import (RegularizerConfig, angular_penalty_grad, angular_sum,
+                           elastic_net_grad, elastic_net_sum, weighted_total)
+# bench/tracer.py wraps the whole penalties on this module; the objective
+# itself adds them up from their per-modality sums
+from .regularizers import angular_penalty, elastic_net  # noqa: F401
 from .tensor import marginal_scales, multiplicity, reconstruct_marginal
 
 SHARED = "__shared__"
@@ -381,17 +384,38 @@ def build_model(spec, observations):
     return Model(spec, observations, shared, factors)
 
 
-def objective(model):
-    """Sum of all marginal NLL terms plus both regularizers."""
-    total = 0.0
-    for term in model.compiled_terms():
-        total += term.nll(model.shared, model.factors)
-    return total + _regularization(model)
+def objective(model, block=None, parts=None):
+    """Sum of all marginal NLL terms plus both regularizers.
 
-
-def _regularization(model):
+    The sum is made of parts: each compiled term's NLL, added in
+    compiled_terms() order, then gamma and beta times the sums of each
+    modality's unweighted elastic-net and angular penalties, in factor
+    order. Given a parts dict, objective stores every part it computes
+    there. Given a block as well, it computes only the parts that block
+    touches and reads the others from parts, which must hold them for a
+    model that differs from this one in that block alone: the shared block
+    touches every term and no penalty (it is never regularized), a
+    modality the terms of the tensors that list it and its own two
+    penalties. Every form returns the same float.
+    """
+    parts = {} if parts is None else parts
     cfg = model.spec.regularizer
-    return elastic_net(model.factors, cfg) + angular_penalty(model.factors, cfg)
+    terms = model.compiled_terms()
+    for i, term in enumerate(terms):
+        if block in (None, SHARED) or block in term.tensor.modalities:
+            parts[i] = term.nll(model.shared, model.factors)
+    for name, U in model.factors.items():
+        if block in (None, name):
+            if cfg.gamma != 0.0:
+                parts["elastic_net", name] = elastic_net_sum(U, cfg)
+            if cfg.beta != 0.0:
+                parts["angular", name] = angular_sum(U, cfg, name)
+    total = 0.0
+    for i in range(len(terms)):
+        total += parts[i]
+    return total + (
+        weighted_total(cfg.gamma, (parts["elastic_net", name] for name in model.factors))
+        + weighted_total(cfg.beta, (parts["angular", name] for name in model.factors)))
 
 
 def gradient_block(model, block):

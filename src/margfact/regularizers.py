@@ -36,14 +36,26 @@ class RegularizerConfig(Settings):
         return self.theta[modality] if isinstance(self.theta, dict) else self.theta
 
 
-def elastic_net(factors, cfg):
-    """gamma * sum over factors and columns of alpha ||u||_2^2 + (1 - alpha) ||u||_1."""
-    if cfg.gamma == 0.0:
+def weighted_total(weight, sums):
+    """weight times the sum of sums, added in order; 0.0, with sums unread,
+    when weight is 0."""
+    if weight == 0.0:
         return 0.0
     total = 0.0
-    for U in factors.values() if isinstance(factors, dict) else factors:
-        total += cfg.alpha * float(np.sum(U * U)) + (1.0 - cfg.alpha) * float(np.sum(np.abs(U)))
-    return cfg.gamma * total
+    for value in sums:
+        total += value
+    return weight * total
+
+
+def elastic_net_sum(U, cfg):
+    """alpha ||U||_F^2 + (1 - alpha) ||U||_1: one factor's elastic net, unweighted."""
+    return cfg.alpha * float(np.sum(U * U)) + (1.0 - cfg.alpha) * float(np.sum(np.abs(U)))
+
+
+def elastic_net(factors, cfg):
+    """gamma * the sum of elastic_net_sum over factors."""
+    matrices = factors.values() if isinstance(factors, dict) else factors
+    return weighted_total(cfg.gamma, (elastic_net_sum(U, cfg) for U in matrices))
 
 
 def elastic_net_grad(U, cfg):
@@ -69,17 +81,18 @@ def upper_pairs(rank):
     return pairs
 
 
+def angular_sum(U, cfg, modality=None):
+    """sum_{r > r'} max(0, cos(u_r, u_r') - theta)^2 over the columns of one
+    factor: its angular penalty, unweighted."""
+    cos = column_cosines(U)[0]
+    h = np.maximum(0.0, cos[upper_pairs(U.shape[1])] - cfg.theta_for(modality))
+    return float(np.sum(h * h))
+
+
 def angular_penalty(factors, cfg):
-    """beta * sum over factors of sum_{r > r'} max(0, cos(u_r, u_r') - theta)^2."""
-    if cfg.beta == 0.0:
-        return 0.0
+    """beta * the sum of angular_sum over factors."""
     items = factors.items() if isinstance(factors, dict) else ((None, U) for U in factors)
-    total = 0.0
-    for name, U in items:
-        cos = column_cosines(U)[0]
-        h = np.maximum(0.0, cos[upper_pairs(U.shape[1])] - cfg.theta_for(name))
-        total += float(np.sum(h * h))
-    return cfg.beta * total
+    return weighted_total(cfg.beta, (angular_sum(U, cfg, name) for name, U in items))
 
 
 def angular_penalty_grad(U, cfg, modality=None):

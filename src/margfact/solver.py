@@ -9,6 +9,13 @@ own step size: its first search starts at cfg.step0 and every later one
 where the last left off, so a block whose gradient is huge near the
 bound is not re-searched from step0 every sweep.
 
+The solver keeps the parts of the current objective (model.objective):
+each NLL term and each modality's unweighted penalty sums. A trial
+evaluates only the parts its block touches and reads the others from a
+copy of the current ones; the block's search adopts its last trial's parts
+only when the block moved to that trial. So every trial and every sweep
+value is the same float as a full evaluation of the objective.
+
 A fit stops when a sweep lowers the objective by less than tol
 (relative), or after cfg.max_sweeps sweeps. The stop reason is
 `converged` when every block accepted its step in that last sweep,
@@ -56,7 +63,8 @@ def train(model, cfg=None):
     """
     cfg = cfg or model.spec.solver
     start = time.perf_counter()
-    f = objective(model)
+    parts = {}  # the current iterate's objective parts
+    f = objective(model, parts=parts)
     if not np.isfinite(f):
         raise NumericError(f"objective not finite at initialization: {f}")
 
@@ -81,12 +89,14 @@ def train(model, cfg=None):
         accepted_flags = {}
         for name in blocks:
             grad = gradient_block(model, name)
+            tried = []  # the parts of each trial, in order
 
             def eval_rows(trial, _idx, _name=name):  # the block is one row
                 old = get_block(_name)
                 set_block(_name, trial.reshape(old.shape))
+                tried.append(dict(parts))
                 try:
-                    return objective(model)
+                    return objective(model, _name, tried[-1])
                 finally:
                     set_block(_name, old)
 
@@ -96,6 +106,10 @@ def train(model, cfg=None):
             # plain float and bool, as the JSON step log needs
             f, accepted_flags[name] = float(f_new[0]), bool(accepted[0])
             steps[name] = float(eta[0])
+            if accepted_flags[name] and tried:
+                # the block moved to its last trial; a stationary block is
+                # accepted untried, and a rejected search leaves it in place
+                parts = tried[-1]
 
         if abs(f_prev - f) / max(1.0, abs(f_prev)) < cfg.tol:
             stop_reason = "converged" if all(accepted_flags.values()) else "stalled"

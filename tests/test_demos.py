@@ -15,7 +15,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXPECTED = {
     "01_generate_and_fit.py": "planted objective: -1821.2",
     "02_correspondence_and_phenotypes.py": "top-1 medication in the correct block: 12/12",
-    "03_diversity_metrics.py": "angular penalty (beta=1, theta=0.5):",
+    "03_diversity_metrics.py": "angular penalty (beta=100, theta=0.1):",
 }
 
 

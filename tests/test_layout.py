@@ -1,6 +1,8 @@
-"""Guards on the package's layout: which modules touch files, and what it imports."""
+"""Guards on the package's layout: which modules touch files, what it imports, and
+the names the benchmark's tracer wraps."""
 
 import ast
+import importlib
 import pathlib
 import sys
 
@@ -50,3 +52,21 @@ def test_only_data_io_reads_or_writes_files(path):
 def test_numpy_is_the_only_third_party_import(path):
     third_party = set(imported_names(parse(path))) - sys.stdlib_module_names
     assert third_party <= {"numpy"}, f"{path.name} imports {sorted(third_party)}"
+
+
+def tracer_bindings():
+    """The (module, attribute, span) triples of bench/tracer.py's BINDINGS, read
+    without importing it."""
+    tree = parse(PACKAGE.parent.parent / "bench" / "tracer.py")
+    node = next(node for node in tree.body if isinstance(node, ast.Assign)
+                and [target.id for target in node.targets] == ["BINDINGS"])
+    return ast.literal_eval(node.value)
+
+
+def test_every_tracer_binding_resolves():
+    # the benchmark's traced run wraps each name where its caller looks it up
+    bindings = tracer_bindings()
+    assert ("margfact.solver", "objective", "model.objective") in bindings
+    for module, attribute, _ in bindings:
+        assert callable(getattr(importlib.import_module(module), attribute, None)), (
+            f"{module}.{attribute}")

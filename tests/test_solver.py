@@ -3,14 +3,15 @@ import json
 import numpy as np
 import pytest
 
+import margfact.model as mmodel
 from margfact import (InteractionTensorSpec, ModelSpec, RegularizerConfig,
                       SolverConfig, build_model, nll, objective,
                       projected_step, reconstruct_marginal, solver,
                       synth_generate, train)
 from margfact.likelihoods import ObservationKind
-from margfact.model import BACKTRACK
+from margfact.model import BACKTRACK, SHARED, Term
 
-from helpers import make_obs, poisson_pair_model
+from helpers import make_obs, poisson_pair_model, small_mixed_model
 
 
 @pytest.fixture()
@@ -401,3 +402,157 @@ class TestTrain:
         values = dict(report.loss_trace)
         for k in (1, 2, 4, 8, 16, 32):
             assert values[2 * k] <= values[k]
+
+
+def _shared_twice_model(seed=0):
+    """fit500's layout at toy scale: M0 in two Poisson tensors."""
+    spec = ModelSpec(rank=3,
+                     tensors=[InteractionTensorSpec("t0", ["M0", "M1"], "poisson"),
+                              InteractionTensorSpec("t1", ["M0", "M2"], "poisson")],
+                     init_seed=seed, solver=SolverConfig(step0=1e-4))
+    obs, _ = synth_generate(spec, {"M0": 6, "M1": 5, "M2": 7},
+                            {"M0": "integer", "M1": "binary", "M2": "integer"}, 40, seed=seed)
+    return build_model(spec, obs)
+
+
+def _three_way_model(seed=0):
+    spec = ModelSpec(rank=3, tensors=[InteractionTensorSpec("abc", ["A", "B", "C"], "poisson")],
+                     regularizer=RegularizerConfig(gamma=1e-3, beta=0.5), init_seed=seed,
+                     solver=SolverConfig(step0=1e-3))
+    obs, _ = synth_generate(spec, {"A": 5, "B": 4, "C": 6},
+                            {"A": "integer", "B": "binary", "C": "integer"}, 30, seed=seed)
+    return build_model(spec, obs)
+
+
+def _sparse_model(monkeypatch):
+    monkeypatch.setattr(mmodel, "SPARSE_DENSITY", 1.01)
+    model = _shared_twice_model(seed=2)
+    assert all(term.cells is not None for term in model.compiled_terms())
+    return model
+
+
+def _frozen_shared(monkeypatch):
+    """test_flat_objective_with_a_frozen_block_is_stalled's stand-in search."""
+    model = poisson_pair_model(seed=1)
+
+    def shared_always_rejects(values, grad, eval_rows, f, eta):
+        if values is model.shared:
+            return values.copy(), np.array(f), np.zeros(1, dtype=bool), np.array([eta])
+        return projected_step(values, grad, eval_rows, f, eta)
+
+    monkeypatch.setattr(solver, "projected_step", shared_always_rejects)
+    return model
+
+
+def _rejected_everywhere(monkeypatch):
+    """test_no_block_moving_is_stalled's search: one trial, far too long."""
+    monkeypatch.setattr(mmodel, "MAX_HALVINGS", 0)
+    model = poisson_pair_model(seed=1)
+    model.spec.solver.step0 = 1e6
+    return model
+
+
+def _stationary_after_rejected(monkeypatch):
+    """C and D hold zeros against all-zero observations: a zero projected step,
+    accepted untried, every sweep. With one trial per search, B's searches
+    are rejected from sweep 2 on, just before C's."""
+    monkeypatch.setattr(mmodel, "MAX_HALVINGS", 0)
+    rng = np.random.default_rng(0)
+    obs = {"A": make_obs("A", rng.poisson(2.0, (10, 4)), "poisson", "integer"),
+           "B": make_obs("B", rng.poisson(2.0, (10, 5)), "poisson", "integer"),
+           "C": make_obs("C", np.zeros((10, 3)), "poisson", "integer"),
+           "D": make_obs("D", np.zeros((10, 2)), "poisson", "binary")}
+    spec = ModelSpec(rank=2, tensors=[InteractionTensorSpec("ab", ["A", "B"], "poisson"),
+                                      InteractionTensorSpec("cd", ["C", "D"], "poisson")],
+                     regularizer=RegularizerConfig(gamma=1e-3, beta=0.5),
+                     solver=SolverConfig(step0=1e-2))
+    model = build_model(spec, obs)
+    model.factors["C"][:] = model.factors["D"][:] = 0.0
+    return model
+
+
+LAYOUTS = {
+    "M0_in_two_tensors": lambda mp: _shared_twice_model(),
+    "disjoint_tensors_four_kinds": lambda mp: small_mixed_model(seed=3, n_patients=12),
+    "three_way": lambda mp: _three_way_model(),
+    "sparse_poisson": _sparse_model,
+    "unregularized": lambda mp: small_mixed_model(seed=4, n_patients=10, gamma=0.0, beta=0.0),
+    "every_search_rejected": _rejected_everywhere,
+    "frozen_shared": _frozen_shared,
+    "stationary_after_rejected": _stationary_after_rejected,
+}
+
+
+class TestBlockLocalTrials:
+    """A trial re-evaluates only the parts of the objective its block touches,
+    and every fit is the same bit for bit as one whose trials evaluate it all."""
+
+    @staticmethod
+    def fit(model, monkeypatch, full_trials):
+        """20 sweeps, and the objective of the model at the start of every
+        sweep and at the end. With full_trials every trial evaluates the
+        whole objective: the reference."""
+        cfg = SolverConfig(max_sweeps=20, tol=1e-12, step0=model.spec.solver.step0,
+                           log_every=1)
+        seen = []
+        gradient_block = solver.gradient_block
+
+        def watch(m, block):
+            if block == SHARED:
+                seen.append(objective(m))
+            return gradient_block(m, block)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "gradient_block", watch)
+            if full_trials:
+                patch.setattr(solver, "objective", lambda m, block=None, parts=None: objective(m))
+            report = train(model, cfg)
+        return report, seen + [objective(model)]
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_fit_equals_full_trials_bit_for_bit(self, layout, monkeypatch):
+        ref = LAYOUTS[layout](monkeypatch)
+        ref_report, _ = self.fit(ref, monkeypatch, full_trials=True)
+        model = LAYOUTS[layout](monkeypatch)
+        report, seen = self.fit(model, monkeypatch, full_trials=False)
+        if layout == "stationary_after_rejected":
+            entries = [e["step_accepted_per_block"] for e in report.step_log]
+            assert all(e["C"] and e["D"] for e in entries)
+            assert not entries[1]["B"] and entries[2]["__shared__"]
+        assert report.loss_trace == ref_report.loss_trace
+        assert report.step_log == ref_report.step_log
+        assert report.stop_reason == ref_report.stop_reason
+        # the solver's f after every sweep is the whole objective, exactly
+        assert [f for _, f in report.loss_trace] == seen
+        np.testing.assert_array_equal(model.shared, ref.shared)
+        for name, U in model.factors.items():
+            np.testing.assert_array_equal(U, ref.factors[name])
+
+    def test_a_trial_evaluates_only_the_terms_of_its_block(self, monkeypatch):
+        # cv_mixed's layout: tensors dx_rx (Dx, Rx) and gb_fluid (Gb, Fluid)
+        model = small_mixed_model(seed=3, n_patients=12)
+        searching, trials = [None], []  # (block searched, tensor of each Term.nll)
+        gradient_block, evaluate, nll = solver.gradient_block, solver.objective, Term.nll
+
+        def search(m, block):
+            searching[0] = block
+            return gradient_block(m, block)
+
+        def trial(m, *args, **kwargs):
+            trials.append((searching[0], []))
+            return evaluate(m, *args, **kwargs)
+
+        def term_nll(term, *args):
+            trials[-1][1].append(term.tensor.id)
+            return nll(term, *args)
+
+        monkeypatch.setattr(solver, "gradient_block", search)
+        monkeypatch.setattr(solver, "objective", trial)
+        monkeypatch.setattr(Term, "nll", term_nll)
+        train(model, SolverConfig(max_sweeps=3, tol=1e-12, step0=1e-4))
+        evaluated = {}
+        for block, tensors in trials[1:]:  # after the first, whole, evaluation
+            evaluated.setdefault(block, set()).add(tuple(sorted(tensors)))
+        assert evaluated[SHARED] == {("dx_rx", "dx_rx", "gb_fluid", "gb_fluid")}
+        assert evaluated["Dx"] == evaluated["Rx"] == {("dx_rx", "dx_rx")}
+        assert evaluated["Gb"] == evaluated["Fluid"] == {("gb_fluid", "gb_fluid")}

@@ -41,8 +41,9 @@ from .data_io import check_modality_name, load_factors, read_json, save_factors,
 from .errors import ConfigurationError, Settings, check_keys, check_setting
 from .regularizers import (RegularizerConfig, angular_penalty_grad, angular_sum,
                            elastic_net_grad, elastic_net_sum, weighted_total)
-# bench/tracer.py wraps the whole penalties on this module; the objective
-# itself adds them up from their per-modality sums
+# imported only because bench/tracer.py wraps these names on this module;
+# the objective adds the per-modality sums instead, so until the tracer binds
+# those its two whole-penalty spans read 0 calls
 from .regularizers import angular_penalty, elastic_net  # noqa: F401
 from .tensor import marginal_scales, multiplicity, reconstruct_marginal
 

@@ -89,27 +89,28 @@ def train(model, cfg=None):
         accepted_flags = {}
         for name in blocks:
             grad = gradient_block(model, name)
-            tried = []  # the parts of each trial, in order
+            old = get_block(name)
+            last = {}  # the parts of the search's last trial
 
-            def eval_rows(trial, _idx, _name=name):  # the block is one row
-                old = get_block(_name)
-                set_block(_name, trial.reshape(old.shape))
-                tried.append(dict(parts))
+            def eval_rows(trial, _idx, _name=name, _old=old):  # the block is one row
+                nonlocal last
+                set_block(_name, trial.reshape(_old.shape))
+                last = dict(parts)
                 try:
-                    return objective(model, _name, tried[-1])
+                    return objective(model, _name, last)
                 finally:
-                    set_block(_name, old)
+                    set_block(_name, _old)
 
             new_values, f_new, accepted, eta = projected_step(
-                get_block(name), grad, eval_rows, [f], steps[name])
+                old, grad, eval_rows, [f], steps[name])
             set_block(name, new_values)
             # plain float and bool, as the JSON step log needs
             f, accepted_flags[name] = float(f_new[0]), bool(accepted[0])
             steps[name] = float(eta[0])
-            if accepted_flags[name] and tried:
-                # the block moved to its last trial; a stationary block is
-                # accepted untried, and a rejected search leaves it in place
-                parts = tried[-1]
+            if not np.array_equal(new_values, old):
+                # an accepted trial is the search's last; a block that did
+                # not move keeps the current parts, whatever it tried
+                parts = last
 
         if abs(f_prev - f) / max(1.0, abs(f_prev)) < cfg.tol:
             stop_reason = "converged" if all(accepted_flags.values()) else "stalled"

@@ -471,6 +471,35 @@ def _stationary_after_rejected(monkeypatch):
     return model
 
 
+def _stationary_after_rejected_trial(monkeypatch):
+    """One search that rejects its first trial and then finds a zero
+    projected step: accepted, unchanged, after a trial. In sweep 1 M1's
+    gradient is replaced by a step that moves every entry with a positive
+    gradient uphill by one ulp, which raises the objective, and which
+    halved rounds to no move."""
+    monkeypatch.setattr(mmodel, "MAX_HALVINGS", 1)
+    model = _shared_twice_model()
+    eta = model.spec.solver.step0
+    gradient_block, crafted = mmodel.gradient_block, []
+
+    def uphill_once(m, block):
+        grad = gradient_block(m, block)
+        if m is not model or block != "M1" or crafted:
+            return grad
+        U, f = m.factors["M1"], objective(m)
+        # x - eta * step rounds to x + ulp, and x - eta / 2 * step to x
+        step = np.where((U > 0) & (grad > 0), -0.75 * np.spacing(U) / eta, 0.0)
+        assert np.array_equal(np.maximum(0.0, U - eta / 2 * step), U)
+        m.factors["M1"] = np.maximum(0.0, U - eta * step)
+        assert objective(m) > f  # so the first trial is rejected
+        m.factors["M1"] = U
+        crafted.append(block)
+        return step
+
+    monkeypatch.setattr(solver, "gradient_block", uphill_once)
+    return model
+
+
 LAYOUTS = {
     "M0_in_two_tensors": lambda mp: _shared_twice_model(),
     "disjoint_tensors_four_kinds": lambda mp: small_mixed_model(seed=3, n_patients=12),
@@ -480,6 +509,7 @@ LAYOUTS = {
     "every_search_rejected": _rejected_everywhere,
     "frozen_shared": _frozen_shared,
     "stationary_after_rejected": _stationary_after_rejected,
+    "stationary_after_rejected_trial": _stationary_after_rejected_trial,
 }
 
 
@@ -491,7 +521,8 @@ class TestBlockLocalTrials:
     def fit(model, monkeypatch, full_trials):
         """20 sweeps, and the objective of the model at the start of every
         sweep and at the end. With full_trials every trial evaluates the
-        whole objective: the reference."""
+        whole objective: the reference. Without, every trial checks that the
+        parts it reads are those of the current iterate."""
         cfg = SolverConfig(max_sweeps=20, tol=1e-12, step0=model.spec.solver.step0,
                            log_every=1)
         seen = []
@@ -502,10 +533,20 @@ class TestBlockLocalTrials:
                 seen.append(objective(m))
             return gradient_block(m, block)
 
+        def checked(m, block=None, parts=None):
+            if block is not None:
+                fresh, kept = {}, dict(parts)
+                objective(m, parts=fresh)
+                objective(m, block, kept)
+                assert kept == fresh
+            return objective(m, block, parts)
+
         with monkeypatch.context() as patch:
             patch.setattr(solver, "gradient_block", watch)
             if full_trials:
                 patch.setattr(solver, "objective", lambda m, block=None, parts=None: objective(m))
+            else:
+                patch.setattr(solver, "objective", checked)
             report = train(model, cfg)
         return report, seen + [objective(model)]
 
@@ -519,6 +560,8 @@ class TestBlockLocalTrials:
             entries = [e["step_accepted_per_block"] for e in report.step_log]
             assert all(e["C"] and e["D"] for e in entries)
             assert not entries[1]["B"] and entries[2]["__shared__"]
+        if layout == "stationary_after_rejected_trial":
+            assert report.step_log[0]["step_accepted_per_block"]["M1"]
         assert report.loss_trace == ref_report.loss_trace
         assert report.step_log == ref_report.step_log
         assert report.stop_reason == ref_report.stop_reason

@@ -32,11 +32,19 @@ class Phenotype:
     items: dict  # modality -> list of (item_id, normalized weight), descending
 
 
-def _find_tensor(model, tensor_id):
-    for t in model.spec.tensors:
-        if t.id == tensor_id:
-            return t
-    raise ConfigurationError(f"unknown tensor {tensor_id!r}")
+def find_tensor(model, tensor_id, *modalities):
+    """The model's tensor named tensor_id, which must list each of modalities,
+    or for tensor_id None the first of its tensors that lists them all."""
+    named = [t for t in model.spec.tensors if tensor_id in (None, t.id)]
+    if not named:
+        raise ConfigurationError(f"unknown tensor {tensor_id!r}")
+    for tensor in named:
+        missing = [name for name in modalities if name not in tensor.modalities]
+        if not missing:
+            return tensor
+    raise ConfigurationError(
+        f"no tensor contains {' and '.join(map(repr, modalities))}" if tensor_id is None
+        else f"tensor {tensor_id!r} does not contain modality {missing[0]!r}")
 
 
 def extract_correspondence(model, tensor_id, anchor_modality, anchor_item,
@@ -46,12 +54,10 @@ def extract_correspondence(model, tensor_id, anchor_modality, anchor_item,
     Accumulates the reconstructed interaction tensor over the patient
     dimension of the base population (by default: patients with the
     anchor item present in the observed matrix), extracts the anchor's
-    row, and l1-normalizes it.
+    row, and l1-normalizes it. tensor_id None picks the first tensor that
+    lists both modalities (find_tensor).
     """
-    tensor = _find_tensor(model, tensor_id)
-    for name in (anchor_modality, target_modality):
-        if name not in tensor.modalities:
-            raise ConfigurationError(f"tensor {tensor_id!r} does not contain modality {name!r}")
+    tensor = find_tensor(model, tensor_id, anchor_modality, target_modality)
     obs_a = model.observations[anchor_modality]
     try:
         j = obs_a.item_ids.index(anchor_item)
@@ -74,13 +80,11 @@ def extract_correspondence(model, tensor_id, anchor_modality, anchor_item,
 
     row = (model.factors[anchor_modality][j] * w) @ model.factors[target_modality].T
     total = row.sum()
-    if total <= 0:
-        return CorrespondenceRow(anchor_modality, anchor_item, target_modality,
-                                 list(model.observations[target_modality].item_ids),
-                                 np.zeros_like(row), int(population.size), all_zero=True)
+    all_zero = bool(total <= 0)
     return CorrespondenceRow(anchor_modality, anchor_item, target_modality,
                              list(model.observations[target_modality].item_ids),
-                             row / total, int(population.size))
+                             np.zeros_like(row) if all_zero else row / total,
+                             int(population.size), all_zero)
 
 
 def extract_phenotypes(model, weight_threshold=1e-4):

@@ -83,25 +83,13 @@ def cmd_train(args):
     return 0
 
 
-def _tensor_of(model, tensor_id, anchor_modality, target):
-    """tensor_id, or when None the first of the model's tensors holding both modalities."""
-    if tensor_id is not None:
-        return tensor_id
-    for t in model.spec.tensors:
-        if anchor_modality in t.modalities and target in t.modalities:
-            return t.id
-    raise ConfigurationError(f"no tensor contains both {anchor_modality!r} and {target!r}")
-
-
 def cmd_correspondence(args):
     model = _load_model(args)
     anchor_modality, _, anchor_item = args.anchor.partition(":")
-    tensor_id = _tensor_of(model, args.tensor, anchor_modality, args.target)
-    row = analysis.extract_correspondence(model, tensor_id, anchor_modality,
+    row = analysis.extract_correspondence(model, args.tensor, anchor_modality,
                                           anchor_item, args.target)
     out_path = args.out or "correspondence.csv"
-    data_io.write_correspondence(out_path, anchor_modality, anchor_item, args.target,
-                                 row.top(args.top))
+    data_io.write_correspondence(out_path, row, args.top)
     print(f"wrote top-{args.top} correspondence to {out_path}")
     return 0
 
@@ -132,11 +120,11 @@ def cmd_metrics(args):
            "jaccard_at_k": analysis.jaccard_at_k(phenotypes, k=args.k),
            "k": args.k}
     if args.annotations:
+        tensor = analysis.find_tensor(model, args.tensor, args.anchor_modality, args.target)
         annotations = data_io.read_annotations(args.annotations)
-        tensor_id = _tensor_of(model, args.tensor, args.anchor_modality, args.target)
         meaningfulness = {}
         for anchor_item, ann in annotations.items():
-            row = analysis.extract_correspondence(model, tensor_id, args.anchor_modality,
+            row = analysis.extract_correspondence(model, tensor.id, args.anchor_modality,
                                                   anchor_item, args.target)
             meaningfulness[anchor_item] = analysis.meaningfulness_score(row, ann)
         doc["meaningfulness"] = meaningfulness

@@ -330,9 +330,11 @@ def read_annotations(path):
     return annotations
 
 
-def write_correspondence(path, anchor_modality, anchor_item, target_modality, top):
-    """One CSV row per (target item, score) of `top`, ranked from 1."""
-    anchor = ",".join(map(_field, (anchor_modality, anchor_item, target_modality)))
+def write_correspondence(path, row, k):
+    """One CSV line per (target item, score) of a CorrespondenceRow's top k,
+    ranked from 1; a bad k raises before the file is opened."""
+    top = row.top(k)
+    anchor = ",".join(map(_field, (row.anchor_modality, row.anchor_item, row.target_modality)))
     with _open(path, "w") as fh:
         fh.write("anchor_modality,anchor_item,target_modality,target_item,score,rank\n")
         for rank, (item, score) in enumerate(top, start=1):

@@ -24,7 +24,6 @@ block rejected is the extreme case: the objective does not move at all),
 and `budget` when the sweeps ran out.
 """
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +37,6 @@ class TrainReport:
     loss_trace: list = field(default_factory=list)  # (sweep, objective)
     stop_reason: str = "budget"  # "converged" | "stalled" | "budget"
     sweeps_run: int = 0
-    wall_time: float = 0.0
     # {sweep, objective, step_accepted_per_block, step_size_per_block}
     step_log: list = field(default_factory=list)
 
@@ -47,8 +45,6 @@ class TrainReport:
         return self.stop_reason == "converged"
 
     def to_dict(self):
-        # wall_time deliberately omitted: persisted model directories must be
-        # byte-identical across reruns with the same seed
         return {"loss_trace": [[s, f] for s, f in self.loss_trace],
                 "converged": self.converged, "stop_reason": self.stop_reason,
                 "sweeps_run": self.sweeps_run, "steps": self.step_log}
@@ -62,7 +58,6 @@ def train(model, cfg=None):
     step and the step its next search starts from.
     """
     cfg = cfg or model.spec.solver
-    start = time.perf_counter()
     parts = {}  # the current iterate's objective parts
     f = objective(model, parts=parts)
     if not np.isfinite(f):
@@ -124,6 +119,5 @@ def train(model, cfg=None):
 
     report.stop_reason = stop_reason
     report.sweeps_run = sweep if cfg.max_sweeps > 0 else 0
-    report.wall_time = time.perf_counter() - start
     model.trace = report
     return report

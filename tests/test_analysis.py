@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from margfact import (ConfigurationError, cosine_similarity_metric,
-                      extract_correspondence, extract_phenotypes, jaccard_at_k,
+from margfact import (ConfigurationError, InteractionTensorSpec, ModelSpec, build_model,
+                      cosine_similarity_metric, extract_correspondence, extract_phenotypes, jaccard_at_k,
                       meaningfulness_score, sparsity)
-from margfact.analysis import CorrespondenceRow, Phenotype, top_k_items
+from margfact.analysis import CorrespondenceRow, Phenotype, find_tensor, top_k_items
 from margfact.solver import train
 
-from helpers import poisson_pair_model, reconstruct_full
+from helpers import make_obs, poisson_pair_model, reconstruct_full
 
 
 def fitted_small_model(seed=0):
@@ -80,6 +80,41 @@ class TestExtractCorrespondence:
         item = model.observations["A"].item_ids[0]
         with pytest.raises(ConfigurationError, match=item):
             extract_correspondence(model, "ab", "A", item, "B", population=np.array([], dtype=int))
+
+
+def three_tensor_model():
+    """t0 = [A, C], t1 = [A, B, C], t2 = [A, B]: two tensors list both A and B."""
+    rng = np.random.default_rng(7)
+    obs = {name: make_obs(name, rng.poisson(1.0, size=(8, n)), "poisson", "integer")
+           for name, n in (("A", 3), ("B", 4), ("C", 2))}
+    tensors = [InteractionTensorSpec("t0", ["A", "C"], "poisson"),
+               InteractionTensorSpec("t1", ["A", "B", "C"], "poisson"),
+               InteractionTensorSpec("t2", ["A", "B"], "poisson")]
+    obs["A"].values[:, 0] = 1.0
+    return build_model(ModelSpec(rank=2, tensors=tensors), obs)
+
+
+class TestFindTensor:
+    def test_none_picks_the_first_tensor_listing_every_modality(self):
+        model = three_tensor_model()
+        assert find_tensor(model, None, "A", "B").id == "t1"
+        assert find_tensor(model, None, "C", "A").id == "t0"
+        assert find_tensor(model, "t2", "B", "A").id == "t2"
+
+    def test_extract_correspondence_without_a_tensor_uses_that_tensor(self):
+        model = three_tensor_model()
+        auto = extract_correspondence(model, None, "A", "A_0", "B")
+        named = [extract_correspondence(model, t, "A", "A_0", "B").scores for t in ("t1", "t2")]
+        np.testing.assert_array_equal(auto.scores, named[0])
+        assert not np.allclose(named[0], named[1])  # C's column sums weigh t1's row
+
+    @pytest.mark.parametrize("tensor_id,modalities,match", [
+        ("t9", ("A", "B"), "unknown tensor 't9'"),
+        ("t2", ("A", "C"), "tensor 't2' does not contain modality 'C'"),
+        (None, ("B", "Z"), "no tensor contains 'B' and 'Z'")])
+    def test_refusals_name_what_is_missing(self, tensor_id, modalities, match):
+        with pytest.raises(ConfigurationError, match=match):
+            find_tensor(three_tensor_model(), tensor_id, *modalities)
 
 
 class TestExtractPhenotypes:

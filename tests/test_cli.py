@@ -414,6 +414,20 @@ class TestMetrics:
             docs.append(json.loads(out.read_text()))
         assert docs[0] == docs[1] and len(docs[0]["meaningfulness"]) == 4
 
+    @pytest.mark.parametrize("tensor", [["--tensor", "t9"], []])
+    def test_empty_annotations_still_need_a_tensor(self, trained, capsys, tensor):
+        manifest, model_dir, tmp_path = trained
+        ann = tmp_path / "ann.csv"
+        ann.write_text("anchor_item,target_item,score\n")
+        out = tmp_path / "metrics.json"
+        code = run("metrics", "--manifest", manifest, "--model", model_dir,
+                   "--annotations", str(ann), *tensor,
+                   "--anchor-modality", "A", "--target", "Zz", "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("missing", ["--anchor-modality", "--target"])
     def test_annotations_without_modality_flag_usage_error(self, trained, capsys, missing):
         manifest, model_dir, tmp_path = trained

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from margfact import (ConfigurationError, IngestionError, InteractionTensorSpec, ModelSpec,
                       ObservationKind, ObservationMatrix, binarize, load_observations,
                       save_observations, split_train_test, synth_generate)
+from margfact.analysis import CorrespondenceRow
 from margfact.data_io import (load_labels, read_annotations, read_factor_csv, read_json,
-                              save_labels, stratified_split, write_factor_csv, write_json)
+                              save_labels, stratified_split, write_correspondence,
+                              write_factor_csv, write_json)
 
 from helpers import make_obs
 
@@ -119,6 +121,25 @@ class TestLoadSave:
 # a lone quote or comma
 PATIENTS = ["Doe, Jane", 'P "J" 7', "p3", '"', ","]
 ITEMS = ["Sodium Chloride 0.9%, Flush", '4" gauze', 'a,"b",c', "plain"]
+
+
+class TestWriteCorrespondence:
+    ROW = CorrespondenceRow("Dx", "d,1", "Rx", ["r0", "r1", "r2"],
+                            np.array([0.25, 0.5, 0.25]), 4)
+
+    def test_top_k_of_the_row(self, tmp_path):
+        path = tmp_path / "corr.csv"
+        write_correspondence(path, self.ROW, 2)
+        assert path.read_text().splitlines() == [
+            "anchor_modality,anchor_item,target_modality,target_item,score,rank",
+            'Dx,"d,1",Rx,r1,0.5,1', 'Dx,"d,1",Rx,r0,0.25,2']
+
+    @pytest.mark.parametrize("k", [0, -1, 1.5])
+    def test_bad_k_writes_nothing(self, tmp_path, k):
+        path = tmp_path / "out" / "corr.csv"
+        with pytest.raises(ConfigurationError, match="k"):
+            write_correspondence(path, self.ROW, k)
+        assert not (tmp_path / "out").exists()
 
 
 class TestQuotedIds:

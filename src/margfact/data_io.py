@@ -185,6 +185,8 @@ def load_observations(manifest_path):
     The manifest is an object with a non-empty "modalities" list of
     {name, path, kind, vocab_path} entries (paths relative to it) and an
     optional "patients" list; any other shape raises IngestionError naming it.
+    So do a "patients" list that repeats an id, a cohort without patients and
+    a modality without items.
     """
     manifest = read_json(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
@@ -224,6 +226,21 @@ def load_observations(manifest_path):
             observations[name] = ObservationMatrix(name, list(shared_ids), vocab, kind, values)
         except IngestionError as exc:
             raise IngestionError(f"{path}: {exc}") from exc
+
+    # a cohort that cannot be aligned or fitted, checked last so that input
+    # failing an earlier check keeps its message
+    if len(pidx) < len(shared_ids):  # an id repeats: name its first repeat, as _note_line does
+        first = {}
+        for i, p in enumerate(shared_ids, start=1):
+            if first.setdefault(p, i) != i:
+                raise IngestionError(f"{manifest_path}: 'patients' entry {i}: duplicate patient "
+                                     f"id {p!r} (first at entry {first[p]})")
+    if not shared_ids:
+        raise IngestionError(f"{manifest_path}: no patients: no 'patients' list "
+                             "and no triplet names one")
+    for name, obs in observations.items():
+        if not obs.item_ids:
+            raise IngestionError(f"{files[name][2]}: modality {name!r} has an empty vocabulary")
     return observations
 
 

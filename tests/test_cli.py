@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from margfact import (ConfigurationError, CorrespondenceRow, GaussianParams, ObservationKind,
-                      ObservationMatrix, Phenotype, extract_phenotypes, five_fold_cv,
-                      save_observations, synth_generate)
+                      ObservationMatrix, Phenotype, build_model, extract_phenotypes,
+                      five_fold_cv, save_model, save_observations, synth_generate)
 from margfact.analysis import top_k_items
 from margfact.cli import _parse_modality_token, main
 from margfact.model import InteractionTensorSpec, ModelSpec, SolverConfig
@@ -588,6 +589,64 @@ MALFORMED_SPECS = {
     "tensor without id": lambda s: s["tensors"][0].pop("id"),
     "tol not a number": lambda s: s["solver"].update(tol="x"),
 }
+
+
+def assert_ingestion_refusal(code, capsys, out, *words):
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ingestion error: ") and err.count("\n") == 1
+    assert all(word in err for word in words), err
+    assert not os.path.exists(out)
+
+
+class TestUnfittableCohort:
+    """Cohorts that cannot be aligned or fitted are refused at ingestion."""
+
+    def test_patients_list_repeating_an_id(self, dataset, capsys):
+        def repeat_p0(m):
+            m["patients"].insert(2, "p0")
+
+        shutil.rmtree(dataset[0] / "case_model", ignore_errors=True)
+        code, stderr = train_on(dataset, manifest_text=edited(dataset[1], repeat_p0))
+        assert code == 3 and stderr.count("\n") == 1
+        assert stderr.startswith("ingestion error: ")
+        assert "'patients' entry 3: duplicate patient id 'p0' (first at entry 1)" in stderr
+        assert not (dataset[0] / "case_model").exists()
+
+    def test_no_patients(self, tmp_path, capsys):
+        (tmp_path / "A.csv").write_text("patient_id,item_id,value\n")
+        (tmp_path / "A.vocab.txt").write_text("x\ny\n")
+        (tmp_path / "manifest.json").write_text(
+            '{"modalities": [{"name": "A", "path": "A.csv", '
+            '"kind": "poisson-integer", "vocab_path": "A.vocab.txt"}]}')
+        spec = ModelSpec(rank=1, tensors=[InteractionTensorSpec("t0", ["A"], "poisson")])
+        spec.save(str(tmp_path / "spec.json"))
+        out = tmp_path / "model"
+        code = run("train", "--manifest", str(tmp_path / "manifest.json"),
+                   "--spec", str(tmp_path / "spec.json"), "--out", str(out))
+        assert_ingestion_refusal(code, capsys, out, "manifest.json: no patients")
+
+    @pytest.fixture()
+    def empty_vocabulary(self, tmp_path):
+        """A manifest whose modality B has no items, and a model saved on it."""
+        kind = ObservationKind("poisson", "integer")
+        patients = ["p0", "p1", "p2"]
+        obs = {"A": ObservationMatrix("A", patients, ["a0", "a1"], kind, np.eye(3, 2)),
+               "B": ObservationMatrix("B", patients, [], kind, np.zeros((3, 0)))}
+        manifest = save_observations(obs, tmp_path / "data")
+        spec = ModelSpec(rank=2, tensors=[InteractionTensorSpec("t0", ["A", "B"], "poisson")])
+        spec.save(str(tmp_path / "spec.json"))
+        save_model(build_model(spec, obs), str(tmp_path / "model"))
+        return manifest, tmp_path
+
+    @pytest.mark.parametrize("command", ["train", "metrics", "phenotypes"])
+    def test_modality_with_an_empty_vocabulary(self, empty_vocabulary, capsys, command):
+        manifest, tmp_path = empty_vocabulary
+        out = tmp_path / "out"
+        source = (["--spec", str(tmp_path / "spec.json")] if command == "train"
+                  else ["--model", str(tmp_path / "model")])
+        code = run(command, "--manifest", manifest, *source, "--out", str(out))
+        assert_ingestion_refusal(code, capsys, out, "B.vocab.txt", "empty vocabulary")
 
 
 class TestMalformedInput:

@@ -50,6 +50,21 @@ class TestLoadSave:
         loaded = load_observations(d / "manifest.json")
         np.testing.assert_array_equal(loaded["A"].values, np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("vocab,patients,message", [
+        ("", '["p0", "p1"]', "item 'x' not in vocabulary"),
+        ("x\n", '["p1", "p1"]', "unknown patient id 'p0'")])
+    def test_unfittable_cohort_keeps_an_earlier_message(self, tmp_path, vocab, patients,
+                                                        message):
+        # an empty vocabulary or a repeated patient is refused after every
+        # older check, so input that failed one of those fails as before
+        (tmp_path / "A.csv").write_text("patient_id,item_id,value\np0,x,1\n")
+        (tmp_path / "A.vocab.txt").write_text(vocab)
+        (tmp_path / "manifest.json").write_text(
+            '{"modalities": [{"name": "A", "path": "A.csv", "kind": "poisson-integer",'
+            f' "vocab_path": "A.vocab.txt"}}], "patients": {patients}}}')
+        with pytest.raises(IngestionError, match=re.escape(f"A.csv:2: {message}")):
+            load_observations(tmp_path / "manifest.json")
+
     def test_binary_kind_violation(self, tmp_path):
         d = tmp_path / "data"
         d.mkdir()

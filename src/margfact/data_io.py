@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigurationError, IngestionError, check_setting
 from .likelihoods import (BINARY, INTEGER, POISSON, REAL, GaussianParams,
-                          ObservationKind, gaussian_binary_prob)
+                          ObservationKind, gaussian_binary_prob, tensor_kind)
 from .tensor import multiplicity, reconstruct_marginal
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
@@ -472,6 +472,12 @@ def synth_generate(model_spec, modality_sizes, datatypes, n_patients,
         check_setting("synth", f"size of {name!r}", size, 1, integral=True)
     check_setting("synth", "sparsity", sparsity, 0, 1, open_low=True)
     check_setting("synth", "scale", scale, 0, open_low=True)
+    kinds = {(tensor.id, name): tensor_kind(tensor, name, datatypes[name])
+             for tensor in model_spec.tensors for name in tensor.modalities}
+    referenced = {name for _, name in kinds}
+    for name in modality_sizes:
+        if name not in referenced:
+            raise ConfigurationError(f"modality {name!r} is not referenced by any tensor")
     rng = np.random.default_rng(seed)
     R = model_spec.rank
     shared = _planted_factor(rng, n_patients, R, sparsity, scale)
@@ -489,8 +495,8 @@ def synth_generate(model_spec, modality_sizes, datatypes, n_patients,
             marginal_means[(tensor.id, name)] = vhat
             if name in observations:
                 continue
-            dtype = datatypes[name]
-            kind = ObservationKind(tensor.distribution, dtype)
+            kind = kinds[tensor.id, name]
+            dtype = kind.datatype
             if tensor.distribution == POISSON:
                 if dtype == INTEGER:
                     values = rng.poisson(vhat).astype(float)
@@ -507,8 +513,5 @@ def synth_generate(model_spec, modality_sizes, datatypes, n_patients,
             item_ids = [f"{name}_{j}" for j in range(vhat.shape[1])]
             observations[name] = ObservationMatrix(name, shared_ids, item_ids, kind, values)
 
-    for name in modality_sizes:
-        if name not in observations:
-            raise ConfigurationError(f"modality {name!r} is not referenced by any tensor")
     truth = SyntheticTruth(shared, factors, marginal_means, seed)
     return observations, truth

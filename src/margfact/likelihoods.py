@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_setting
+from .errors import ConfigurationError, check_setting
 
 EPS = 1e-12
 
@@ -59,6 +59,17 @@ class ObservationKind:
 
     def __str__(self):
         return f"{self.distribution}-{self.datatype}"
+
+
+def tensor_kind(tensor, modality, datatype):
+    """The ObservationKind of modality's cells in tensor: datatype under the
+    tensor's distribution; ConfigurationError naming tensor, modality,
+    datatype and distribution when the distribution cannot hold it."""
+    if (tensor.distribution, datatype) not in VALID_KINDS:
+        raise ConfigurationError(
+            f"modality {modality!r}: datatype {datatype!r} incompatible with "
+            f"distribution {tensor.distribution!r} of tensor {tensor.id!r}")
+    return ObservationKind(tensor.distribution, datatype)
 
 
 @dataclass(frozen=True)

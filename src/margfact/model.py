@@ -259,7 +259,7 @@ class Term:
     def __init__(self, tensor, k, obs, t_n):
         self.tensor, self.k, self.name = tensor, k, tensor.modalities[k]
         self.V = obs.values
-        self.kind = lk.ObservationKind(tensor.distribution, obs.kind.datatype)
+        self.kind = lk.tensor_kind(tensor, self.name, obs.kind.datatype)
         self.params = (lk.GaussianParams(tensor.sigma2, t_n)
                        if tensor.distribution == lk.GAUSSIAN else None)
         sparse = (tensor.distribution == lk.POISSON
@@ -358,7 +358,7 @@ class Model:
 
 def _check_observations(spec, observations):
     """The patient ids all observations share; spec's modalities must be present,
-    each with a datatype its tensor's distribution allows."""
+    each with a datatype its tensor's distribution allows (lk.tensor_kind)."""
     shared_ids = next((obs.shared_ids for obs in observations.values()), None)
     for name, obs in observations.items():
         if obs.shared_ids != shared_ids:
@@ -367,11 +367,7 @@ def _check_observations(spec, observations):
         for name in tensor.modalities:
             if name not in observations:
                 raise ConfigurationError(f"tensor {tensor.id!r} references unknown modality {name!r}")
-            pair = (tensor.distribution, observations[name].kind.datatype)
-            if pair not in lk.VALID_KINDS:
-                raise ConfigurationError(
-                    f"modality {name!r}: datatype {pair[1]!r} incompatible with "
-                    f"distribution {pair[0]!r} of tensor {tensor.id!r}")
+            lk.tensor_kind(tensor, name, observations[name].kind.datatype)
     return shared_ids
 
 

@@ -447,6 +447,24 @@ class TestSynthGenerate:
                                 {"A": "binary", "B": "integer"}, 15, seed=4)
         assert set(np.unique(obs["A"].values)) <= {0.0, 1.0}
 
+    @pytest.mark.parametrize("tensors,datatypes,words", [
+        ([InteractionTensorSpec("t0", ["A", "B"], "poisson")],
+         {"A": "real", "B": "integer"}, ("'t0'", "'A'", "'real'", "'poisson'")),
+        # a later tensor whose distribution cannot hold a modality the first one drew
+        ([InteractionTensorSpec("t0", ["A", "B"], "poisson"),
+          InteractionTensorSpec("t1", ["A", "C"], "gaussian", 1.0)],
+         {"A": "integer", "B": "integer", "C": "real"},
+         ("'t1'", "'A'", "'integer'", "'gaussian'"))])
+    def test_every_kind_is_checked_before_drawing(self, monkeypatch, tensors, datatypes, words):
+        def no_draw(*args):
+            raise AssertionError("drew a planted factor")
+
+        monkeypatch.setattr("margfact.data_io._planted_factor", no_draw)
+        sizes = dict.fromkeys(datatypes, 3)
+        with pytest.raises(ConfigurationError) as info:
+            synth_generate(ModelSpec(rank=2, tensors=tensors), sizes, datatypes, 10)
+        assert all(word in str(info.value) for word in words), info.value
+
     @pytest.mark.parametrize("n_patients,sizes,sparsity,scale", [
         (0, {"A": 3, "B": 3}, 0.5, 1.0), (-5, {"A": 3, "B": 3}, 0.5, 1.0),
         (10, {"A": 0, "B": 3}, 0.5, 1.0), (10, {"A": 3, "B": 3}, 2.0, 1.0),

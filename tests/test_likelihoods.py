@@ -168,6 +168,34 @@ class TestGaussianBinary:
             expected = float(-mpmath.log(mpmath.erfc(z) / 2))
         assert got == pytest.approx(expected, rel=1e-6)
 
+    # sigma2 = 1 and t_n = 2 make y = (1 - 2V) vhat / 2; the grid crosses
+    # erfc's switch at 0, the series' at 26 and math.erfc's underflow at 27.3
+    TAIL_PARAMS = GaussianParams(sigma2=1.0, t_n=2)
+    TAIL_Y = np.concatenate([np.linspace(-30.0, 30.0, 1201), [25.999, 26.0, 26.001, 27.5]])
+
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_nll_matches_mpmath_for_every_y(self, label):
+        import mpmath
+        y = self.TAIL_Y
+        got = nll_cells(GB, np.full_like(y, label), (1.0 - 2.0 * label) * 2.0 * y,
+                        self.TAIL_PARAMS)
+        with mpmath.workdps(40):
+            ref = np.array([float(-mpmath.log(mpmath.erfc(float(v)) / 2)) for v in y])
+        # -log(erfc(y)/2) lies in [0, log 2] where y <= 0: there the error is absolute
+        np.testing.assert_allclose(got[y > 0], ref[y > 0], rtol=1e-14)
+        np.testing.assert_allclose(got[y <= 0], ref[y <= 0], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_gradient_matches_central_difference_for_every_y(self, label):
+        y = self.TAIL_Y
+        V = np.full_like(y, label)
+        vhat = (1.0 - 2.0 * label) * 2.0 * y
+        h = 1e-5 * np.maximum(1.0, np.abs(vhat))
+        fd = (nll_cells(GB, V, vhat + h, self.TAIL_PARAMS)
+              - nll_cells(GB, V, vhat - h, self.TAIL_PARAMS)) / (2.0 * h)
+        got = grad_nll_wrt_reconstruction(GB, V, vhat, self.TAIL_PARAMS)
+        np.testing.assert_allclose(got, fd, rtol=1e-6, atol=1e-9)
+
     def test_monte_carlo_law(self):
         rng = np.random.default_rng(21)
         params = GaussianParams(sigma2=0.5, t_n=4)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from margfact import (ConfigurationError, InteractionTensorSpec, ModelSpec, build_model,
-                      cosine_similarity_metric, extract_correspondence, extract_phenotypes, jaccard_at_k,
-                      meaningfulness_score, sparsity)
+                      cosine_similarity_metric, extract_correspondence, extract_phenotypes,
+                      jaccard_at_k, meaningfulness_score, sparsity)
 from margfact.analysis import CorrespondenceRow, Phenotype, find_tensor, top_k_items
 from margfact.solver import train
 

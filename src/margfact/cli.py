@@ -9,6 +9,8 @@ import dataclasses
 import os
 import sys
 
+import numpy as np
+
 from . import analysis, data_io, evaluate
 from .errors import ConfigurationError, IngestionError, NumericError, check_setting
 from .likelihoods import VALID_KINDS
@@ -45,7 +47,8 @@ def cmd_synth(args):
     anchor, _, anchor_type, anchor_dist = specs[0]
     tensors = []
     for i, (name, _, datatype, dist) in enumerate(specs[1:] or specs):
-        if (dist, anchor_type) not in VALID_KINDS:
+        # the anchor is drawn under its first tensor, which must carry its law
+        if (dist, anchor_type) not in VALID_KINDS or (i == 0 and dist != anchor_dist):
             raise ConfigurationError(f"anchor {anchor!r} ({anchor_type}, {anchor_dist}) cannot "
                                      f"share a {dist} tensor with {name!r} ({datatype}, {dist})")
         modalities = [anchor] if name == anchor else [anchor, name]
@@ -223,14 +226,17 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # silenced, as numpy's warnings would add lines: a non-finite result
+        # still raises NumericError, reported below in one line
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except IngestionError as exc:
         print(f"ingestion error: {exc}", file=sys.stderr)
         return EXIT_INGESTION
     except ConfigurationError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericError, FloatingPointError) as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except MemoryError as exc:

@@ -418,19 +418,17 @@ def stratified_split(labels, share, rng):
 
 
 def split_train_test(observations, labels=None, ratio=0.8, seed=0, stratify=False):
-    """Partition patients by a seeded shuffle; all modalities split consistently."""
+    """Partition patients by stratified_split over the labels (stratify) or one
+    class; all modalities split consistently, and neither side is empty."""
     if not (0.0 < ratio < 1.0):
         raise ValueError("ratio must lie in (0, 1)")
     n = len(next(iter(observations.values())).shared_ids)
     if n < 2:
         raise ValueError("need at least 2 patients to split")
-    rng = np.random.default_rng(seed)
-    if stratify and labels is not None:
-        train_idx, test_idx = stratified_split(labels, ratio, rng)
-    else:
-        perm = rng.permutation(n)
-        cut = int(round(ratio * n))
-        train_idx, test_idx = sorted(perm[:cut]), sorted(perm[cut:])
+    classes = labels if stratify and labels is not None else np.zeros(n)
+    train_idx, test_idx = stratified_split(classes, ratio, np.random.default_rng(seed))
+    if test_idx.size == 0:
+        raise ValueError(f"a split of {n} patients at ratio {ratio} leaves no test patient")
     train = _take_patients(observations, train_idx)
     test = _take_patients(observations, test_idx)
     if labels is None:

@@ -40,7 +40,7 @@ from . import likelihoods as lk
 from .data_io import check_modality_name, load_factors, read_json, save_factors, write_json
 from .errors import ConfigurationError, Settings, check_keys, check_setting
 from .regularizers import (RegularizerConfig, angular_penalty_grad, angular_sum,
-                           elastic_net_grad, elastic_net_sum, weighted_total)
+                           elastic_net_grad, elastic_net_sum)
 # imported only because bench/tracer.py wraps these names on this module;
 # the objective adds the per-modality sums instead, so until the tracer binds
 # those its two whole-penalty spans read 0 calls
@@ -403,16 +403,13 @@ def objective(model, block=None, parts=None):
             parts[i] = term.nll(model.shared, model.factors)
     for name, U in model.factors.items():
         if block in (None, name):
-            if cfg.gamma != 0.0:
-                parts["elastic_net", name] = elastic_net_sum(U, cfg)
-            if cfg.beta != 0.0:
-                parts["angular", name] = angular_sum(U, cfg, name)
+            parts["elastic_net", name] = elastic_net_sum(U, cfg)
+            parts["angular", name] = angular_sum(U, cfg, name)
     total = 0.0
     for i in range(len(terms)):
         total += parts[i]
-    return total + (
-        weighted_total(cfg.gamma, (parts["elastic_net", name] for name in model.factors))
-        + weighted_total(cfg.beta, (parts["angular", name] for name in model.factors)))
+    return total + (cfg.gamma * sum(parts["elastic_net", name] for name in model.factors)
+                    + cfg.beta * sum(parts["angular", name] for name in model.factors))
 
 
 def gradient_block(model, block):
@@ -471,11 +468,10 @@ def projected_step(values, grad, eval_rows, f_current, eta):
         f_trial = f.copy()  # settled rows keep their value and are ignored
         f_trial[idx] = eval_rows(trial[idx], idx)
         ok = pending & (f_trial <= f - ARMIJO_C * dist2 / eta)
-        if ok.any():
-            out[ok] = trial[ok]
-            f = np.where(ok, f_trial, f)
-            pending &= ~ok
-            next_eta[ok] = eta[ok] / BACKTRACK
+        out[ok] = trial[ok]
+        f = np.where(ok, f_trial, f)
+        pending &= ~ok
+        next_eta[ok] = eta[ok] / BACKTRACK
         next_eta[pending] = eta[pending]
         eta *= BACKTRACK
     return out.reshape(values.shape), f, ~pending, next_eta

@@ -36,17 +36,6 @@ class RegularizerConfig(Settings):
         return self.theta[modality] if isinstance(self.theta, dict) else self.theta
 
 
-def weighted_total(weight, sums):
-    """weight times the sum of sums, added in order; 0.0, with sums unread,
-    when weight is 0."""
-    if weight == 0.0:
-        return 0.0
-    total = 0.0
-    for value in sums:
-        total += value
-    return weight * total
-
-
 def elastic_net_sum(U, cfg):
     """alpha ||U||_F^2 + (1 - alpha) ||U||_1: one factor's elastic net, unweighted."""
     return cfg.alpha * float(np.sum(U * U)) + (1.0 - cfg.alpha) * float(np.sum(np.abs(U)))
@@ -55,13 +44,11 @@ def elastic_net_sum(U, cfg):
 def elastic_net(factors, cfg):
     """gamma * the sum of elastic_net_sum over factors."""
     matrices = factors.values() if isinstance(factors, dict) else factors
-    return weighted_total(cfg.gamma, (elastic_net_sum(U, cfg) for U in matrices))
+    return cfg.gamma * sum(elastic_net_sum(U, cfg) for U in matrices)
 
 
 def elastic_net_grad(U, cfg):
     """Gradient of the elastic net on one non-negative factor block."""
-    if cfg.gamma == 0.0:
-        return np.zeros_like(U)
     return cfg.gamma * (2.0 * cfg.alpha * U + (1.0 - cfg.alpha))
 
 
@@ -92,7 +79,7 @@ def angular_sum(U, cfg, modality=None):
 def angular_penalty(factors, cfg):
     """beta * the sum of angular_sum over factors."""
     items = factors.items() if isinstance(factors, dict) else ((None, U) for U in factors)
-    return weighted_total(cfg.beta, (angular_sum(U, cfg, name) for name, U in items))
+    return cfg.beta * sum(angular_sum(U, cfg, name) for name, U in items)
 
 
 def angular_penalty_grad(U, cfg, modality=None):
@@ -104,8 +91,6 @@ def angular_penalty_grad(U, cfg, modality=None):
     pair use the one cosine below the diagonal, so the result does not
     depend on how the matrix product rounds the two triangles.
     """
-    if cfg.beta == 0.0:
-        return np.zeros_like(U)
     cos, norms = column_cosines(U)
     cos = np.tril(cos) + np.tril(cos, -1).T
     h = cos - cfg.theta_for(modality)

@@ -118,6 +118,6 @@ def train(model, cfg=None):
             break
 
     report.stop_reason = stop_reason
-    report.sweeps_run = sweep if cfg.max_sweeps > 0 else 0
+    report.sweeps_run = sweep
     model.trace = report
     return report

@@ -7,7 +7,7 @@ import json
 import math
 import os
 import re
-import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +128,17 @@ class TestSynth:
                                             "poisson"))
         assert not (tmp_path / "x").exists()
 
+    def test_anchor_drawn_under_another_law_is_usage_error(self, tmp_path, capsys):
+        # a binary anchor fits a Poisson tensor, but would be drawn and
+        # recorded as poisson-binary instead of the gaussian-binary it names
+        code = run("synth", "--modality", "A:4:binary:gaussian", "--modality",
+                   "B:3:integer:poisson", "--out", str(tmp_path / "x"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert all(word in err for word in ("'A'", "binary", "gaussian", "'B'", "poisson"))
+        assert not (tmp_path / "x").exists()
+
 
 class TestTrain:
     def test_repeated_modality_in_spec_usage_error(self, tmp_path, capsys):
@@ -191,7 +202,7 @@ class TestTrain:
                    "--spec", spec, "--out", str(tmp_path / "model"))
         assert code == 3
 
-    def test_non_finite_objective_is_numeric_error(self, tmp_path):
+    def test_non_finite_objective_is_numeric_error(self, tmp_path, capsys):
         # a finite value whose squared residual overflows: NaN and inf
         # themselves are rejected at ingestion (exit 3, below)
         d = tmp_path / "data"
@@ -205,10 +216,14 @@ class TestTrain:
                          tensors=[InteractionTensorSpec("t0", ["A"], "gaussian", 1.0)],
                          init_seed=0, solver=SolverConfig(max_sweeps=2))
         spec.save(str(tmp_path / "spec.json"))
-        code = run("train", "--manifest", str(d / "manifest.json"),
-                   "--spec", str(tmp_path / "spec.json"),
-                   "--out", str(tmp_path / "model"))
+        with warnings.catch_warnings():  # numpy's overflow warning is no second line
+            warnings.simplefilter("error")
+            code = run("train", "--manifest", str(d / "manifest.json"),
+                       "--spec", str(tmp_path / "spec.json"),
+                       "--out", str(tmp_path / "model"))
         assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_is_ingestion_error(self, tmp_path, value):
@@ -551,9 +566,10 @@ def dataset(tmp_path_factory):
     return data, manifest_doc, spec_doc
 
 
-def train_on(dataset, manifest_text=None, spec_text=None):
-    """Run `train` with the dataset's manifest and spec, either replaced by the
-    given text; returns the exit code and what was printed to stderr."""
+def train_on(dataset, out, manifest_text=None, spec_text=None):
+    """Run `train` into out with the dataset's manifest and spec, either
+    replaced by the given text; returns the exit code and what was printed to
+    stderr. The case manifest sits beside the data, as its paths are relative."""
     data, manifest_doc, spec_doc = dataset
     manifest, spec = data / "case_manifest.json", data / "case_spec.json"
     manifest.write_text(json.dumps(manifest_doc) if manifest_text is None else manifest_text)
@@ -561,7 +577,7 @@ def train_on(dataset, manifest_text=None, spec_text=None):
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):
         code = run("train", "--manifest", str(manifest), "--spec", str(spec),
-                   "--out", str(data / "case_model"))
+                   "--out", str(out))
     return code, stderr.getvalue()
 
 
@@ -602,16 +618,16 @@ def assert_ingestion_refusal(code, capsys, out, *words):
 class TestUnfittableCohort:
     """Cohorts that cannot be aligned or fitted are refused at ingestion."""
 
-    def test_patients_list_repeating_an_id(self, dataset, capsys):
+    def test_patients_list_repeating_an_id(self, dataset, tmp_path):
         def repeat_p0(m):
             m["patients"].insert(2, "p0")
 
-        shutil.rmtree(dataset[0] / "case_model", ignore_errors=True)
-        code, stderr = train_on(dataset, manifest_text=edited(dataset[1], repeat_p0))
+        out = tmp_path / "model"
+        code, stderr = train_on(dataset, out, manifest_text=edited(dataset[1], repeat_p0))
         assert code == 3 and stderr.count("\n") == 1
         assert stderr.startswith("ingestion error: ")
         assert "'patients' entry 3: duplicate patient id 'p0' (first at entry 1)" in stderr
-        assert not (dataset[0] / "case_model").exists()
+        assert not out.exists()
 
     def test_no_patients(self, tmp_path, capsys):
         (tmp_path / "A.csv").write_text("patient_id,item_id,value\n")
@@ -651,25 +667,27 @@ class TestUnfittableCohort:
 
 class TestMalformedInput:
     @pytest.mark.parametrize("case", list(MALFORMED_MANIFESTS))
-    def test_manifest_is_ingestion_error(self, dataset, case):
-        code, stderr = train_on(dataset, manifest_text=edited(dataset[1],
-                                                              MALFORMED_MANIFESTS[case]))
+    def test_manifest_is_ingestion_error(self, dataset, tmp_path, case):
+        code, stderr = train_on(dataset, tmp_path / "model",
+                                manifest_text=edited(dataset[1], MALFORMED_MANIFESTS[case]))
         assert code == 3
         assert stderr.startswith("ingestion error: ") and stderr.count("\n") == 1
         assert "case_manifest.json" in stderr
 
     @pytest.mark.parametrize("case", list(MALFORMED_SPECS))
-    def test_spec_exits_cleanly(self, dataset, case):
-        code, stderr = train_on(dataset, spec_text=edited(dataset[2], MALFORMED_SPECS[case]))
+    def test_spec_exits_cleanly(self, dataset, tmp_path, case):
+        code, stderr = train_on(dataset, tmp_path / "model",
+                                spec_text=edited(dataset[2], MALFORMED_SPECS[case]))
         assert code in (2, 3)
         assert stderr.count("\n") == 1 and "case_spec.json" in stderr
 
     @pytest.mark.parametrize("name", ["shared", "../esc", "A"])
-    def test_manifest_modality_name_is_ingestion_error(self, dataset, name):
+    def test_manifest_modality_name_is_ingestion_error(self, dataset, tmp_path, name):
         def rename_or_repeat(m):  # "A" names the first modality twice
             m["modalities"][1 if name == "A" else 0]["name"] = name
 
-        code, stderr = train_on(dataset, manifest_text=edited(dataset[1], rename_or_repeat))
+        code, stderr = train_on(dataset, tmp_path / "model",
+                                manifest_text=edited(dataset[1], rename_or_repeat))
         assert code == 3
         assert stderr.startswith("ingestion error: ") and stderr.count("\n") == 1
         assert "case_manifest.json" in stderr
@@ -757,16 +775,17 @@ MALFORMED_FUZZ = settings(max_examples=150, deadline=None,
 class TestMalformedInputFuzz:
     @MALFORMED_FUZZ
     @given(data=st.data())
-    def test_manifest_exits_2_or_3(self, dataset, data):
-        code, stderr = train_on(dataset, manifest_text=data.draw(broken(dataset[1],
-                                                                       MANIFEST_FAULTS)))
+    def test_manifest_exits_2_or_3(self, dataset, tmp_path_factory, data):
+        code, stderr = train_on(dataset, tmp_path_factory.mktemp("fuzz") / "model",
+                                manifest_text=data.draw(broken(dataset[1], MANIFEST_FAULTS)))
         assert code in (2, 3)
         assert stderr.count("\n") == 1
 
     @MALFORMED_FUZZ
     @given(data=st.data())
-    def test_spec_exits_2_or_3(self, dataset, data):
-        code, stderr = train_on(dataset, spec_text=data.draw(broken(dataset[2], SPEC_FAULTS)))
+    def test_spec_exits_2_or_3(self, dataset, tmp_path_factory, data):
+        code, stderr = train_on(dataset, tmp_path_factory.mktemp("fuzz") / "model",
+                                spec_text=data.draw(broken(dataset[2], SPEC_FAULTS)))
         assert code in (2, 3)
         assert stderr.count("\n") == 1
 
@@ -830,46 +849,52 @@ def spec_with(dataset, path, value):
     return json.dumps(doc)
 
 
-def assert_refused(dataset, spec_text, named):
-    """train on spec_text exits 2 with one stderr line naming `named`, writing no model."""
-    code, stderr = train_on(dataset, spec_text=spec_text)
+def assert_refused(dataset, out, spec_text, named):
+    """train into out on spec_text exits 2 with one stderr line naming `named`,
+    writing no model."""
+    code, stderr = train_on(dataset, out, spec_text=spec_text)
     assert code == 2
     assert stderr.startswith("usage error: ") and stderr.count("\n") == 1
     assert named in stderr and "Traceback" not in stderr
-    assert not (dataset[0] / "case_model").exists()
+    assert not out.exists()
 
 
 class TestSettingsRule:
     @pytest.mark.parametrize("setting", list(SETTINGS))
-    def test_nan_inf_bool_string_and_out_of_range_are_refused(self, dataset, setting):
+    def test_nan_inf_bool_string_and_out_of_range_are_refused(self, dataset, tmp_path,
+                                                               setting):
         field, path, out_of_range, call = SETTINGS[setting]
         for value in BAD_NUMBERS + [out_of_range]:
             with pytest.raises(ConfigurationError, match=re.escape(f"{field} must be")):
                 call(value)
             if path is not None:
-                assert_refused(dataset, spec_with(dataset, path, value), f"{field} must be")
+                assert_refused(dataset, tmp_path / "model", spec_with(dataset, path, value),
+                               f"{field} must be")
 
     @pytest.mark.parametrize("path", [("solver", "max_sweep"), ("regularizer", "gama"),
                                       ("tensors", 0, "sigma"), ("extra",)])
-    def test_unknown_key_is_refused(self, dataset, path):
-        assert_refused(dataset, spec_with(dataset, path, 3), f"unknown key {path[-1]!r}")
+    def test_unknown_key_is_refused(self, dataset, tmp_path, path):
+        assert_refused(dataset, tmp_path / "model", spec_with(dataset, path, 3),
+                       f"unknown key {path[-1]!r}")
 
-    def test_spec_without_tensors_is_refused(self, dataset):
+    def test_spec_without_tensors_is_refused(self, dataset, tmp_path):
         with pytest.raises(ConfigurationError, match="at least one tensor"):
             ModelSpec(rank=2, tensors=[])
-        assert_refused(dataset, spec_with(dataset, ("tensors",), []), "at least one tensor")
+        assert_refused(dataset, tmp_path / "model", spec_with(dataset, ("tensors",), []),
+                       "at least one tensor")
 
     @pytest.mark.parametrize("theta", [{"A": 0.1}, {"A": 0.1, "B": 0.2, "C": 0.3}])
-    def test_theta_map_must_name_exactly_the_modalities(self, dataset, theta):
+    def test_theta_map_must_name_exactly_the_modalities(self, dataset, tmp_path, theta):
         with pytest.raises(ConfigurationError, match="theta"):
             ModelSpec(rank=2, tensors=SPEC.tensors, regularizer=RegularizerConfig(theta=theta))
-        assert_refused(dataset, spec_with(dataset, ("regularizer", "theta"), theta), "theta")
+        assert_refused(dataset, tmp_path / "model",
+                       spec_with(dataset, ("regularizer", "theta"), theta), "theta")
 
-    def test_poisson_tensor_with_sigma2_is_refused(self, dataset):
+    def test_poisson_tensor_with_sigma2_is_refused(self, dataset, tmp_path):
         with pytest.raises(ConfigurationError, match="sigma2"):
             InteractionTensorSpec("t0", ["A", "B"], "poisson", 1.0)
-        assert_refused(dataset, edited(dataset[2], lambda s: s["tensors"][0].update(sigma2=1.0)),
-                       "sigma2")
+        assert_refused(dataset, tmp_path / "model",
+                       edited(dataset[2], lambda s: s["tensors"][0].update(sigma2=1.0)), "sigma2")
 
 
 def test_correspondence_csv_quotes_ids(tmp_path):

@@ -401,6 +401,26 @@ class TestSplit:
         with pytest.raises(ValueError):
             split_train_test(obs)
 
+    def test_split_leaving_no_test_patient_is_refused(self):
+        obs = two_modality_obs(n=2)
+        with pytest.raises(ValueError, match="leaves no test patient"):
+            split_train_test(obs, ratio=0.8)
+        with pytest.raises(ValueError, match="leaves no test patient"):
+            split_train_test(obs, np.array([0, 1]), stratify=True)
+
+    def test_two_patients_keep_one_on_each_side(self):
+        train, test = split_train_test(two_modality_obs(n=2), ratio=0.2)
+        assert len(train["Dx"].shared_ids) == len(test["Dx"].shared_ids) == 1
+
+    def test_plain_split_is_one_class_stratified_split(self):
+        obs = two_modality_obs(n=23)
+        ids = np.array(obs["Dx"].shared_ids)
+        for seed in range(5):
+            train, test = split_train_test(obs, ratio=0.7, seed=seed)
+            first, rest = stratified_split(np.zeros(23), 0.7, np.random.default_rng(seed))
+            assert train["Dx"].shared_ids == list(ids[first])
+            assert test["Dx"].shared_ids == list(ids[rest])
+
 
 def simple_spec(distribution="poisson", sigma2=None, datatype=None):
     return ModelSpec(rank=2, tensors=[

@@ -15,7 +15,7 @@ from .model import (InteractionTensorSpec, Model, ModelSpec, SolverConfig,
                     project_patients, projected_step, save_model)
 from .regularizers import RegularizerConfig, angular_penalty, elastic_net
 from .solver import TrainReport, train
-from .tensor import reconstruct_marginal, reconstruct_slice
+from .tensor import reconstruct_marginal
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -66,7 +66,13 @@ def extract_correspondence(model, tensor_id, anchor_modality, anchor_item,
 
     if population is None:
         population = np.flatnonzero(obs_a.values[:, j] > 0)
-    population = np.asarray(population, dtype=int)
+    else:
+        population = np.asarray(population, dtype=int)
+        n = model.shared.shape[0]
+        if (population.ndim != 1 or np.any((population < 0) | (population >= n))
+                or np.unique(population).size != population.size):
+            raise ConfigurationError(f"population must list distinct patient indices "
+                                     f"in [0, {n}), got {population.tolist()}")
     if population.size == 0:
         raise ConfigurationError(f"empty base population for anchor "
                                  f"{anchor_modality}:{anchor_item}")

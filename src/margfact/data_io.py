@@ -63,6 +63,18 @@ def check_modality_name(name, error):
                     "'shared', '.' and '..', without '/' or '\\'")
 
 
+def check_labels(labels, n, error):
+    """Raise error unless labels hold one 0 or 1 for each of n patients."""
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise error(f"labels must be one 0 or 1 per patient: {n} patients, "
+                    f"labels of shape {labels.shape}")
+    valid = np.isin(labels, (0, 1)) if labels.dtype.kind in "biuf" else np.zeros(n, bool)
+    if not valid.all():
+        i = int(np.argmin(valid))
+        raise error(f"labels must be one 0 or 1 per patient: patient {i} has {labels[i].item()!r}")
+
+
 def read_json(path):
     """The JSON document at path."""
     with _open(path) as fh:
@@ -425,6 +437,8 @@ def split_train_test(observations, labels=None, ratio=0.8, seed=0, stratify=Fals
     n = len(next(iter(observations.values())).shared_ids)
     if n < 2:
         raise ValueError("need at least 2 patients to split")
+    if labels is not None:
+        check_labels(labels, n, ValueError)
     classes = labels if stratify and labels is not None else np.zeros(n)
     train_idx, test_idx = stratified_split(classes, ratio, np.random.default_rng(seed))
     if test_idx.size == 0:

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 
-from .data_io import _take_patients, class_permutations, stratified_split
+from .data_io import _take_patients, check_labels, class_permutations, stratified_split
 from .errors import ConfigurationError, check_setting
 from .model import build_model, project_patients
 from .solver import train
@@ -107,8 +107,9 @@ def five_fold_cv(observations, labels, model_spec, solver_cfg=None, n_folds=5, s
     check_setting("cross-validation", "seed", seed, 0, integral=True)
     if solver_cfg is not None:
         model_spec = dataclasses.replace(model_spec, solver=solver_cfg)
+    n = len(next(iter(observations.values())).shared_ids)
+    check_labels(labels, n, ConfigurationError)
     labels = np.asarray(labels, dtype=int)
-    n = len(labels)
     if int(labels.sum()) < n_folds or int((1 - labels).sum()) < n_folds:
         raise ConfigurationError(f"need at least {n_folds} patients per class")
     folds = _stratified_folds(labels, n_folds, seed)

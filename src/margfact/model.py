@@ -349,6 +349,7 @@ class Model:
                 for tensor in self.spec.tensors for k, name in enumerate(tensor.modalities)]
         return self._terms
 
+    # kept only because bench/workloads.py reads it; the library uses compiled_terms()
     def terms(self):
         """Yield (tensor, k, name, blocks, values, kind, params) per compiled term."""
         for term in self.compiled_terms():

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import Settings, check_setting
+from .errors import ConfigurationError, Settings, check_setting
 
 
 @dataclass
@@ -32,8 +32,12 @@ class RegularizerConfig(Settings):
             check_setting("regularizer", "theta", self.theta, 0, 1)
 
     def theta_for(self, modality):
-        """The threshold of modality; a map must name it (ModelSpec checks this)."""
-        return self.theta[modality] if isinstance(self.theta, dict) else self.theta
+        """The threshold of modality; ConfigurationError if a map does not name it."""
+        if not isinstance(self.theta, dict):
+            return self.theta
+        if modality not in self.theta:
+            raise ConfigurationError(f"regularizer: theta names no modality {modality!r}")
+        return self.theta[modality]
 
 
 def elastic_net_sum(U, cfg):

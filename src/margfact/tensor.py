@@ -1,4 +1,4 @@
-"""Dense factor algebra: marginal reconstructions, column scales and slices.
+"""Dense factor algebra: marginal reconstructions and column scales.
 
 Factor matrices are plain (I, R) numpy arrays with non-negative entries.
 The full tensor is never materialized: the model works exclusively with
@@ -10,16 +10,6 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError
-
-
-def check_factor(U, name="factor"):
-    """Validate a factor matrix: 2-D, non-negative, at least one row/column."""
-    U = np.asarray(U, dtype=float)
-    if U.ndim != 2 or U.shape[0] < 1 or U.shape[1] < 1:
-        raise ConfigurationError(f"{name} must be a non-empty 2-D array, got shape {U.shape}")
-    if np.any(U < 0):
-        raise ConfigurationError(f"{name} has negative entries")
-    return U
 
 
 def _common_rank(factors):
@@ -58,15 +48,3 @@ def reconstruct_marginal(shared, modality_factors, target):
     _common_rank([shared] + modality_factors)
     scales = marginal_scales(modality_factors, target)
     return (shared * scales) @ modality_factors[target].T
-
-
-def reconstruct_slice(shared_row, factor_a, factor_b):
-    """Per-entity interaction slice A diag(shared_row) B^T."""
-    shared_row = np.asarray(shared_row, dtype=float)
-    factor_a = check_factor(factor_a, "factor_a")
-    factor_b = check_factor(factor_b, "factor_b")
-    if np.any(shared_row < 0):
-        raise ConfigurationError("shared_row has negative entries")
-    if shared_row.shape != (factor_a.shape[1],) or factor_a.shape[1] != factor_b.shape[1]:
-        raise ConfigurationError("rank mismatch between shared_row and factors")
-    return (factor_a * shared_row) @ factor_b.T

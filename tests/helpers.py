@@ -3,11 +3,11 @@ and the brute-force full-tensor oracles the marginal algebra is checked against.
 
 import numpy as np
 
-from margfact import (InteractionTensorSpec, ModelSpec, ObservationKind,
-                      ObservationMatrix, RegularizerConfig, SolverConfig,
-                      build_model)
+from margfact import (ConfigurationError, InteractionTensorSpec, ModelSpec,
+                      ObservationKind, ObservationMatrix, RegularizerConfig,
+                      SolverConfig, build_model)
 from margfact.errors import MargfactError
-from margfact.tensor import _common_rank, check_factor
+from margfact.tensor import _common_rank
 
 #: full tensors exist only to validate the marginal algebra
 DENSE_SIZE_CAP = 10_000_000
@@ -15,6 +15,16 @@ DENSE_SIZE_CAP = 10_000_000
 
 class OracleScaleError(MargfactError):
     """A dense tensor was requested above the oracle-scale size cap."""
+
+
+def check_factor(U, name="factor"):
+    """Validate a factor matrix: 2-D, non-negative, at least one row/column."""
+    U = np.asarray(U, dtype=float)
+    if U.ndim != 2 or U.shape[0] < 1 or U.shape[1] < 1:
+        raise ConfigurationError(f"{name} must be a non-empty 2-D array, got shape {U.shape}")
+    if np.any(U < 0):
+        raise ConfigurationError(f"{name} has negative entries")
+    return U
 
 
 def reconstruct_full(factors, size_cap=DENSE_SIZE_CAP):

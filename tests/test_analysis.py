@@ -81,6 +81,13 @@ class TestExtractCorrespondence:
         with pytest.raises(ConfigurationError, match=item):
             extract_correspondence(model, "ab", "A", item, "B", population=np.array([], dtype=int))
 
+    @pytest.mark.parametrize("population", [[-1], [3], [0, 0, 0], [[0, 1]]])
+    def test_population_must_list_distinct_patients(self, population):
+        model = poisson_pair_model(n_patients=3)
+        with pytest.raises(ConfigurationError,
+                           match=r"population must list distinct patient indices in \[0, 3\)"):
+            extract_correspondence(model, "ab", "A", "A_0", "B", population=population)
+
 
 def three_tensor_model():
     """t0 = [A, C], t1 = [A, B, C], t2 = [A, B]: two tensors list both A and B."""

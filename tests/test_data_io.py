@@ -408,6 +408,13 @@ class TestSplit:
         with pytest.raises(ValueError, match="leaves no test patient"):
             split_train_test(obs, np.array([0, 1]), stratify=True)
 
+    @pytest.mark.parametrize("stratify", [True, False])
+    @pytest.mark.parametrize("labels", [[0, 1] * 4, [0, 1] * 6, [0] * 4 + [1] * 4 + [2] * 2,
+                                        [0, 1] * 4 + [0.5, 1]])
+    def test_labels_must_be_one_0_or_1_per_patient(self, labels, stratify):
+        with pytest.raises(ValueError, match="labels must be one 0 or 1 per patient"):
+            split_train_test(two_modality_obs(), np.array(labels), stratify=stratify)
+
     def test_two_patients_keep_one_on_each_side(self):
         train, test = split_train_test(two_modality_obs(n=2), ratio=0.2)
         assert len(train["Dx"].shared_ids) == len(test["Dx"].shared_ids) == 1

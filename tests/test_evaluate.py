@@ -204,6 +204,16 @@ class TestFiveFoldCV:
         with pytest.raises(ConfigurationError):
             five_fold_cv(obs, labels, spec, spec.solver, n_folds=int(labels.sum()) + 1)
 
+    @pytest.mark.parametrize("bad", ["short", "long", "three_classes", "fraction"])
+    def test_labels_must_be_one_0_or_1_per_patient(self, bad):
+        obs, labels, spec = cv_setup()
+        spec.solver.max_sweeps = 1
+        labels = {"short": labels[:100], "long": np.r_[labels, labels[:20]],
+                  "three_classes": np.where(np.arange(120) < 20, 2, labels),
+                  "fraction": np.where(np.arange(120) == 7, 0.5, labels)}[bad]
+        with pytest.raises(ConfigurationError, match="labels must be one 0 or 1 per patient"):
+            five_fold_cv(obs, labels, spec, spec.solver)
+
     def test_deterministic_folds(self):
         obs, labels, spec = cv_setup(seed=4)
         spec.solver.max_sweeps = 3

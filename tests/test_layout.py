@@ -1,15 +1,20 @@
 """Guards on the package's layout: which modules touch files, what it imports, and
-the names the benchmark's tracer wraps."""
+the names the benchmark reads and its tracer wraps."""
 
 import ast
 import importlib
+import importlib.util
 import pathlib
+import pkgutil
 import sys
 
 import pytest
 
+from margfact import Model
+
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "margfact"
 MODULES = sorted(PACKAGE.glob("*.py"))
+BENCH = PACKAGE.parent.parent / "bench"
 
 
 def parse(path):
@@ -57,7 +62,7 @@ def test_numpy_is_the_only_third_party_import(path):
 def tracer_bindings():
     """The (module, attribute, span) triples of bench/tracer.py's BINDINGS, read
     without importing it."""
-    tree = parse(PACKAGE.parent.parent / "bench" / "tracer.py")
+    tree = parse(BENCH / "tracer.py")
     node = next(node for node in tree.body if isinstance(node, ast.Assign)
                 and [target.id for target in node.targets] == ["BINDINGS"])
     return ast.literal_eval(node.value)
@@ -70,3 +75,37 @@ def test_every_tracer_binding_resolves():
     for module, attribute, _ in bindings:
         assert callable(getattr(importlib.import_module(module), attribute, None)), (
             f"{module}.{attribute}")
+
+
+def margfact_reads(path):
+    """The dotted margfact names the script at path reads: each name it imports
+    from margfact, and each attribute it reads on one of those names."""
+    tree = parse(path)
+    local = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            local.update((alias.asname or alias.name, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            local.update((alias.asname or alias.name, f"{node.module}.{alias.name}")
+                         for alias in node.names)
+    local = {name: dotted for name, dotted in local.items()
+             if dotted.partition(".")[0] == "margfact"}
+    return set(local.values()) | {
+        f"{local[node.value.id]}.{node.attr}" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in local}
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    # tier-1 does not run bench's own tests, so this is where a deleted name shows
+    reads = margfact_reads(BENCH / "workloads.py") | margfact_reads(BENCH / "run.py")
+    assert {"margfact.model.objective", "margfact.data_io.save_observations"} <= reads
+    for dotted in sorted(reads):
+        pkgutil.resolve_name(dotted)
+    # heldout_nll_per_cell calls terms() on a fitted model
+    assert callable(getattr(Model, "terms", None)), "Model.terms"
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS.values():
+        workload.spec(0)  # its SolverConfig keywords must all still exist

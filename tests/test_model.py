@@ -31,9 +31,8 @@ class TestBuildModel:
         model = build_model(spec, obs)
         assert set(model.factors) == {"Dx", "Rx", "Lab"}
         # identity of storage: both tensors see the same array object
-        terms = list(model.terms())
-        dx_blocks = [blocks[tensor.modalities.index("Dx")]
-                     for tensor, _, _, blocks, _, _, _ in terms if "Dx" in tensor.modalities]
+        dx_blocks = [term.blocks(model.factors)[term.tensor.modalities.index("Dx")]
+                     for term in model.compiled_terms() if "Dx" in term.tensor.modalities]
         assert all(b is model.factors["Dx"] for b in dx_blocks)
 
     def test_paper_style_configuration_counts_factors(self):
@@ -96,18 +95,19 @@ class TestObjective:
     def test_regularizer_off_is_nll_sum(self):
         model = poisson_pair_model(gamma=0.0, beta=0.0)
         total = 0.0
-        for _, k, _, blocks, V, kind, params in model.terms():
-            vhat = reconstruct_marginal(model.shared, blocks, k)
-            total += nll(kind, V, vhat, params)
+        for term in model.compiled_terms():
+            vhat = reconstruct_marginal(model.shared, term.blocks(model.factors), term.k)
+            total += nll(term.kind, term.V, vhat, term.params)
         assert objective(model) == pytest.approx(total, rel=1e-12)
 
     def test_matched_point_value(self):
         # factors arranged so vhat equals V: objective = sum(v - v log v) + Omega
         model = poisson_pair_model(gamma=1e-3, beta=0.5)
-        for _, k, _, blocks, V, kind, params in model.terms():
-            vhat = reconstruct_marginal(model.shared, blocks, k)
+        for term in model.compiled_terms():
+            vhat = reconstruct_marginal(model.shared, term.blocks(model.factors), term.k)
+            V = term.V
             expect = float(np.sum(V - V * np.log(np.maximum(V, 1e-12))))
-            assert nll(kind, V, V, params) == pytest.approx(expect, rel=1e-10)
+            assert nll(term.kind, V, V, term.params) == pytest.approx(expect, rel=1e-10)
 
     def test_hitf_special_case_oracle(self):
         # standalone single-tensor objective coded independently
@@ -160,13 +160,14 @@ class TestObjective:
         model = build_model(spec, obs)
         full = reconstruct_full([model.shared] + [model.factors[m] for m in sizes])
         draws = [full + rng.normal(0.0, np.sqrt(sigma2), full.shape) for _ in range(3000)]
-        for _, k, _, blocks, _, _, params in model.terms():
-            marginals = np.array([marginalize(d, (0, k + 1)) for d in draws])
+        for term in model.compiled_terms():
+            marginals = np.array([marginalize(d, (0, term.k + 1)) for d in draws])
             np.testing.assert_allclose(marginals.mean(axis=0),
-                                       reconstruct_marginal(model.shared, blocks, k),
+                                       reconstruct_marginal(model.shared,
+                                                            term.blocks(model.factors), term.k),
                                        atol=0.2)
-            assert marginals.var(axis=0).mean() == pytest.approx(params.t_n * params.sigma2,
-                                                                 rel=0.05)
+            assert marginals.var(axis=0).mean() == pytest.approx(
+                term.params.t_n * term.params.sigma2, rel=0.05)
 
 
 class TestGradientBlock:
@@ -254,11 +255,12 @@ class TestProjectPatients:
         # re-optimizing the shared rows cannot do worse than the trained rows
         def shared_partial(S):
             total = 0.0
-            for _, k, _, blocks, V, kind, params in model.terms():
+            for term in model.compiled_terms():
                 from margfact.tensor import marginal_scales
-                scales = marginal_scales(blocks, k)
-                vhat = (S * scales) @ blocks[k].T
-                total += nll(kind, V, vhat, params)
+                blocks = term.blocks(model.factors)
+                scales = marginal_scales(blocks, term.k)
+                vhat = (S * scales) @ blocks[term.k].T
+                total += nll(term.kind, term.V, vhat, term.params)
             return total
         assert shared_partial(S_proj) <= shared_partial(model.shared) + 1e-6
 

@@ -137,3 +137,14 @@ def test_per_modality_theta():
     high = angular_penalty({"Rx": U}, cfg)
     assert low == pytest.approx((1 - 0.1) ** 2)
     assert high == pytest.approx((1 - 0.9) ** 2)
+
+
+@pytest.mark.parametrize("factors, name", [([np.ones((3, 2))], None),
+                                           ({"B": np.ones((3, 2))}, "B")])
+def test_theta_map_without_the_modality_is_configuration_error(factors, name):
+    cfg = RegularizerConfig(theta={"A": 0.5})
+    message = f"regularizer: theta names no modality {name!r}"
+    with pytest.raises(ConfigurationError, match=message):
+        angular_penalty(factors, cfg)
+    with pytest.raises(ConfigurationError, match=message):
+        angular_penalty_grad(np.ones((3, 2)), cfg, name)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from margfact import ConfigurationError, reconstruct_marginal, reconstruct_slice
+from margfact import ConfigurationError, reconstruct_marginal
 from margfact.data_io import read_factor_csv, write_factor_csv
 
 from helpers import OracleScaleError, marginalize, reconstruct_full
@@ -120,29 +120,6 @@ class TestReconstructMarginal:
     def test_rank_mismatch(self):
         with pytest.raises(ConfigurationError):
             reconstruct_marginal(np.ones((2, 2)), [np.ones((3, 1))], 0)
-
-
-class TestReconstructSlice:
-    def test_zero_row_annihilates(self):
-        A, B = np.ones((4, 3)), np.ones((5, 3))
-        np.testing.assert_array_equal(reconstruct_slice(np.zeros(3), A, B), np.zeros((4, 5)))
-
-    def test_rank_one_outer_product(self):
-        rng = np.random.default_rng(2)
-        A, B = rng.uniform(size=(4, 1)), rng.uniform(size=(5, 1))
-        np.testing.assert_allclose(reconstruct_slice(np.ones(1), A, B),
-                                   np.outer(A[:, 0], B[:, 0]), rtol=1e-12)
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(11)
-        A, B = rng.uniform(size=(4, 3)), rng.uniform(size=(5, 3))
-        s = rng.uniform(size=3)
-        expected = np.zeros((4, 5))
-        for i in range(4):
-            for j in range(5):
-                for r in range(3):
-                    expected[i, j] += A[i, r] * s[r] * B[j, r]
-        np.testing.assert_allclose(reconstruct_slice(s, A, B), expected, rtol=1e-12)
 
 
 def test_factor_csv_round_trip(tmp_path):

@@ -92,9 +92,10 @@ def pair(modalities, case, monkeypatch, zero_row=None, rank=3):
 def floored_cells(model, rows=None):
     """Cells per row (or in all) of Poisson-binary terms whose vhat is below EPS."""
     count = np.zeros(N_PATIENTS)
-    for tensor, k, _, blocks, _, kind, _ in model.terms():
-        if kind.datatype == BINARY:
-            count += (reconstruct_marginal(model.shared, blocks, k) < EPS).sum(axis=1)
+    for term in model.compiled_terms():
+        if term.kind.datatype == BINARY:
+            vhat = reconstruct_marginal(model.shared, term.blocks(model.factors), term.k)
+            count += (vhat < EPS).sum(axis=1)
     return count.sum() if rows is None else count[rows]
 
 

@@ -67,12 +67,13 @@ def extract_correspondence(model, tensor_id, anchor_modality, anchor_item,
     if population is None:
         population = np.flatnonzero(obs_a.values[:, j] > 0)
     else:
-        population = np.asarray(population, dtype=int)
+        given = np.asarray(population, dtype=float)  # an int cast would truncate 1.7 to 1
         n = model.shared.shape[0]
-        if (population.ndim != 1 or np.any((population < 0) | (population >= n))
-                or np.unique(population).size != population.size):
+        if (given.ndim != 1 or np.any((given < 0) | (given >= n) | (given != np.floor(given)))
+                or np.unique(given).size != given.size):
             raise ConfigurationError(f"population must list distinct patient indices "
-                                     f"in [0, {n}), got {population.tolist()}")
+                                     f"in [0, {n}), got {np.asarray(population).tolist()}")
+        population = given.astype(int)
     if population.size == 0:
         raise ConfigurationError(f"empty base population for anchor "
                                  f"{anchor_modality}:{anchor_item}")

@@ -1,6 +1,7 @@
 """Downstream predictive evaluation: lasso-logistic regression and AUPRC."""
 
 import dataclasses
+import os
 
 import numpy as np
 
@@ -94,14 +95,53 @@ def _stratified_folds(labels, n_folds, seed):
     return [sorted(f) for f in folds]
 
 
+def cv_fold(observations, labels, model_spec, folds, seed, fold_id):
+    """The result of fold fold_id of five_fold_cv: fit on the other folds'
+    patients, project this fold's, select lambda, refit and score."""
+    test_idx = folds[fold_id]
+    train_idx = sorted(set(range(len(labels))) - set(test_idx))
+    train_obs = _take_patients(observations, train_idx)
+    test_obs = _take_patients(observations, test_idx)
+    y_train, y_test = labels[train_idx], labels[test_idx]
+
+    model = build_model(model_spec, train_obs)
+    train(model)
+    X_train = model.shared
+    X_test = project_patients(model, test_obs)
+
+    lam = _select_lambda(X_train, y_train, seed + fold_id)
+    w, b = lasso_logistic_fit(X_train, y_train, lam)
+    score = auprc(predict_scores(X_test, w, b), y_test)
+    return {"fold": fold_id, "auprc": score, "lambda": lam,
+            "n_train": len(train_idx), "n_test": len(test_idx)}
+
+
+_worker_inputs = ()  # cv_fold's arguments before fold_id, set in each worker by its initializer
+
+
+def _keep_inputs(*inputs):
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _fold_in_worker(fold_id):
+    return cv_fold(*_worker_inputs, fold_id)
+
+
 def five_fold_cv(observations, labels, model_spec, solver_cfg=None, n_folds=5, seed=0):
     """Per-fold AUPRC of lasso-logistic mortality prediction on projections.
 
-    Each fold: fit the factorization on the training patients, project the
-    test patients, select lambda on an inner 80/20 validation split of the
-    training representations, refit, and score the held-out fold. lambda is
-    chosen from LAMBDA_GRID. Fit and projection both run under solver_cfg,
-    model_spec's own solver when None.
+    Each fold (cv_fold): fit the factorization on the training patients,
+    project the test patients, select lambda on an inner 80/20 validation
+    split of the training representations, refit, and score the held-out
+    fold. lambda is chosen from LAMBDA_GRID. Fit and projection both run
+    under solver_cfg, model_spec's own solver when None.
+
+    The folds run in min(n_folds, usable CPUs) worker processes forked from
+    this one, so the workers inherit the inputs and the BLAS thread setting;
+    the result equals that of calling cv_fold on each fold in turn, bit for
+    bit. An error raised in a fold is raised here; a worker that dies (in
+    practice, killed for want of memory) raises MemoryError.
     """
     check_setting("cross-validation", "n_folds", n_folds, 2, integral=True)
     check_setting("cross-validation", "seed", seed, 0, integral=True)
@@ -113,23 +153,19 @@ def five_fold_cv(observations, labels, model_spec, solver_cfg=None, n_folds=5, s
     if int(labels.sum()) < n_folds or int((1 - labels).sum()) < n_folds:
         raise ConfigurationError(f"need at least {n_folds} patients per class")
     folds = _stratified_folds(labels, n_folds, seed)
-    results = []
-    for fold_id, test_idx in enumerate(folds):
-        train_idx = sorted(set(range(n)) - set(test_idx))
-        train_obs = _take_patients(observations, train_idx)
-        test_obs = _take_patients(observations, test_idx)
-        y_train, y_test = labels[train_idx], labels[test_idx]
-
-        model = build_model(model_spec, train_obs)
-        train(model)
-        X_train = model.shared
-        X_test = project_patients(model, test_obs)
-
-        lam = _select_lambda(X_train, y_train, seed + fold_id)
-        w, b = lasso_logistic_fit(X_train, y_train, lam)
-        score = auprc(predict_scores(X_test, w, b), y_test)
-        results.append({"fold": fold_id, "auprc": score, "lambda": lam,
-                        "n_train": len(train_idx), "n_test": len(test_idx)})
+    # imported here, not at module level: they would add 15-30 ms to every `import margfact`
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    workers = min(n_folds, len(os.sched_getaffinity(0)))
+    try:
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                 initializer=_keep_inputs,
+                                 initargs=(observations, labels, model_spec, folds, seed)) as pool:
+            results = list(pool.map(_fold_in_worker, range(n_folds)))
+    except BrokenProcessPool as exc:
+        raise MemoryError("a cross-validation worker process died; "
+                          "the likely cause is the system killing it for want of memory") from exc
     values = np.array([r["auprc"] for r in results])
     return {"folds": results, "mean": float(values.mean()), "std": float(values.std()),
             "config": {"n_folds": n_folds, "lambda_grid": list(LAMBDA_GRID), "seed": seed}}

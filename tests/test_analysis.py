@@ -81,7 +81,7 @@ class TestExtractCorrespondence:
         with pytest.raises(ConfigurationError, match=item):
             extract_correspondence(model, "ab", "A", item, "B", population=np.array([], dtype=int))
 
-    @pytest.mark.parametrize("population", [[-1], [3], [0, 0, 0], [[0, 1]]])
+    @pytest.mark.parametrize("population", [[-1], [3], [0, 0, 0], [[0, 1]], [1.7]])
     def test_population_must_list_distinct_patients(self, population):
         model = poisson_pair_model(n_patients=3)
         with pytest.raises(ConfigurationError,

@@ -15,12 +15,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from margfact import (ConfigurationError, CorrespondenceRow, GaussianParams, ObservationKind,
-                      ObservationMatrix, Phenotype, build_model, extract_phenotypes,
+                      ObservationMatrix, Phenotype, build_model, evaluate, extract_phenotypes,
                       five_fold_cv, save_model, save_observations, synth_generate)
 from margfact.analysis import top_k_items
 from margfact.cli import _parse_modality_token, main
 from margfact.model import InteractionTensorSpec, ModelSpec, SolverConfig
 from margfact.regularizers import RegularizerConfig
+
+from test_evaluate import FAILED_FOLDS
 
 
 def run(*argv):
@@ -530,6 +532,20 @@ class TestEvaluate:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("failure, first_words",
+                             [("raises", "numeric failure: boom"), ("dies", "out of memory: ")])
+    def test_failed_fold_exits_4_with_one_line(self, tmp_path, capfd, monkeypatch, failure,
+                                               first_words):
+        args = evaluate_inputs(tmp_path)
+        monkeypatch.setattr(evaluate, "train", FAILED_FOLDS[failure][0])
+        capfd.readouterr()
+        out = tmp_path / "eval.json"
+        code = run("evaluate", *args, "--out", str(out))
+        assert code == 4
+        err = capfd.readouterr().err  # the workers' file descriptors too
+        assert err.startswith(first_words) and err.count("\n") == 1
         assert not out.exists()
 
     def test_missing_label_is_ingestion_error(self, tmp_path):

@@ -1,10 +1,13 @@
+import concurrent.futures
+import os
+
 import numpy as np
 import pytest
 
-from margfact import (ConfigurationError, InteractionTensorSpec, ModelSpec,
-                      RegularizerConfig, SolverConfig, auprc, five_fold_cv, lasso_logistic_fit,
-                      reconstruct_marginal)
-from margfact.evaluate import _logistic_loss, predict_scores
+from margfact import (ConfigurationError, InteractionTensorSpec, ModelSpec, NumericError,
+                      RegularizerConfig, SolverConfig, auprc, evaluate, five_fold_cv,
+                      lasso_logistic_fit, reconstruct_marginal)
+from margfact.evaluate import _logistic_loss, _stratified_folds, cv_fold, predict_scores
 
 from helpers import make_obs
 
@@ -170,6 +173,19 @@ def cv_setup(seed=0, n=120, rank=3, per_block=8):
     return obs, labels, spec
 
 
+def raise_boom(model):
+    raise NumericError("boom")
+
+
+def die(model):
+    os._exit(1)
+
+
+# a fold's train that fails: (train, the error five_fold_cv raises, its message)
+FAILED_FOLDS = {"raises": (raise_boom, NumericError, "boom"),
+                "dies": (die, MemoryError, "worker process died")}
+
+
 class TestFiveFoldCV:
     def test_fold_partition(self):
         obs, labels, spec = cv_setup()
@@ -214,9 +230,34 @@ class TestFiveFoldCV:
         with pytest.raises(ConfigurationError, match="labels must be one 0 or 1 per patient"):
             five_fold_cv(obs, labels, spec, spec.solver)
 
-    def test_deterministic_folds(self):
+    @pytest.mark.parametrize("n_folds, cpus", [(5, None), (3, None), (5, 1)],
+                             ids=["5_folds", "3_folds", "one_worker"])
+    def test_deterministic_folds(self, monkeypatch, n_folds, cpus):
         obs, labels, spec = cv_setup(seed=4)
         spec.solver.max_sweeps = 3
-        a = five_fold_cv(obs, labels, spec, spec.solver, seed=7)
-        b = five_fold_cv(obs, labels, spec, spec.solver, seed=7)
-        assert a == b
+        if cpus is not None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        workers = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, *args, **kwargs):
+                workers.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        a = five_fold_cv(obs, labels, spec, spec.solver, n_folds=n_folds, seed=7)
+        b = five_fold_cv(obs, labels, spec, spec.solver, n_folds=n_folds, seed=7)
+        assert workers == [min(n_folds, len(os.sched_getaffinity(0)))] * 2
+        # the same as the folds run one after another in this process
+        folds = _stratified_folds(labels, n_folds, 7)
+        serial = [cv_fold(obs, labels, spec, folds, 7, fold_id) for fold_id in range(n_folds)]
+        assert a == b and a["folds"] == serial
+        assert a["mean"] == float(np.mean([fold["auprc"] for fold in serial]))
+
+    @pytest.mark.parametrize("failure", FAILED_FOLDS)
+    def test_a_failed_fold_reaches_the_caller(self, monkeypatch, failure):
+        obs, labels, spec = cv_setup()
+        train, error, message = FAILED_FOLDS[failure]
+        monkeypatch.setattr(evaluate, "train", train)  # the workers fork with the patch
+        with pytest.raises(error, match=message):
+            five_fold_cv(obs, labels, spec, spec.solver)

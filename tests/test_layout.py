@@ -4,8 +4,10 @@ the names the benchmark reads and its tracer wraps."""
 import ast
 import importlib
 import importlib.util
+import os
 import pathlib
 import pkgutil
+import subprocess
 import sys
 
 import pytest
@@ -57,6 +59,18 @@ def test_only_data_io_reads_or_writes_files(path):
 def test_numpy_is_the_only_third_party_import(path):
     third_party = set(imported_names(parse(path))) - sys.stdlib_module_names
     assert third_party <= {"numpy"}, f"{path.name} imports {sorted(third_party)}"
+
+
+def test_import_leaves_the_process_pool_modules_out():
+    # five_fold_cv imports them when it runs: at module level they would add
+    # 15-30 ms to the set-up of every program that imports margfact
+    pool_modules = ["multiprocessing", "concurrent.futures.process"]
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys, margfact; print([m for m in {pool_modules} "
+                               "if m in sys.modules])"],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def tracer_bindings():

@@ -434,6 +434,8 @@ def split_train_test(observations, labels=None, ratio=0.8, seed=0, stratify=Fals
     class; all modalities split consistently, and neither side is empty."""
     if not (0.0 < ratio < 1.0):
         raise ValueError("ratio must lie in (0, 1)")
+    if not observations:
+        raise ValueError("need at least one modality to split")
     n = len(next(iter(observations.values())).shared_ids)
     if n < 2:
         raise ValueError("need at least 2 patients to split")
@@ -484,6 +486,11 @@ def synth_generate(model_spec, modality_sizes, datatypes, n_patients,
         check_setting("synth", f"size of {name!r}", size, 1, integral=True)
     check_setting("synth", "sparsity", sparsity, 0, 1, open_low=True)
     check_setting("synth", "scale", scale, 0, open_low=True)
+    for name in model_spec.modality_order:
+        for what, given in (("size", modality_sizes), ("datatype", datatypes)):
+            if name not in given:
+                raise ConfigurationError(
+                    f"modality {name!r}: a tensor lists it, but it has no {what}")
     kinds = {(tensor.id, name): tensor_kind(tensor, name, datatypes[name])
              for tensor in model_spec.tensors for name in tensor.modalities}
     referenced = {name for _, name in kinds}

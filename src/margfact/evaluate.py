@@ -147,6 +147,8 @@ def five_fold_cv(observations, labels, model_spec, solver_cfg=None, n_folds=5, s
     check_setting("cross-validation", "seed", seed, 0, integral=True)
     if solver_cfg is not None:
         model_spec = dataclasses.replace(model_spec, solver=solver_cfg)
+    if not observations:
+        raise ConfigurationError("cross-validation needs at least one modality")
     n = len(next(iter(observations.values())).shared_ids)
     check_labels(labels, n, ConfigurationError)
     labels = np.asarray(labels, dtype=int)

@@ -11,9 +11,10 @@ term whose observations are nonzero on fewer than SPARSE_DENSITY of its
 cells keeps those cells as index/value arrays and is evaluated on them
 alone, as in CP-APR (Chi & Kolda 2012): sum(vhat) is closed-form in the
 column sums, the log term and the gradient weight V / vhat live on the
-observed cells. Every other term runs the dense kernels on the whole
-matrix. objective, gradient_block and project_patients all go through the
-compiled list.
+observed cells. It keeps them in two orders, both built at compile time:
+row by row and column by column. Every other term runs the dense kernels on
+the whole matrix. objective, gradient_block and project_patients all go
+through the compiled list.
 
 Every sparse gradient is one product summed per run of cells, Gᵀ X with
 G = 1 - W: the shared gradient runs it on the cells row by row (X the
@@ -186,66 +187,52 @@ def _run_sums(x, ptr):
     return out
 
 
-def _run_blocks(ptr):
-    """Consecutive blocks of whole runs of ptr, each holding at most
-    BLOCK_CELLS cells unless it is one longer run: yields each block's runs
-    [start, stop) and its cells [lo, hi)."""
-    start, n = 0, ptr.size - 1
-    while start < n:
-        stop = n if ptr[n] - ptr[start] <= BLOCK_CELLS else max(
-            int(np.searchsorted(ptr, ptr[start] + BLOCK_CELLS, "right")) - 1, start + 1)
-        yield start, stop, ptr[start], ptr[stop]
-        start = stop
-
-
 #: Cells in runs: each cell's row of X, its row of Y and its value, run by
 #: run, and the runs' pointers. A run is a row of the observations (X = S, Y
 #: the items) or, transposed, a column (X the items, Y = S).
 Selection = namedtuple("Selection", "X_row Y_row val ptr")
 
-#: One block of a Selection: its runs and cells (slices), X and Y at the
-#: cells, vhat there and the runs' pointers within the block.
-Block = namedtuple("Block", "runs cells X Y vhat ptr")
+#: One block of a Selection: its runs and cells (slices), Y at the cells,
+#: vhat there and the runs' pointers within the block.
+Block = namedtuple("Block", "runs cells Y vhat ptr")
 
 
-class Cells:
-    """The nonzero cells of an observation matrix, row by row.
+def _cells(V):
+    """The nonzero cells of V as two Selections: by_row, row by row, and
+    by_col, rows and columns swapped and stably sorted by column. The indices
+    are int32, so the two orders cost what one order and a permutation would."""
+    rows, cols = np.nonzero(V)
+    vals = V[rows, cols]
+    rows, cols = rows.astype(np.int32), cols.astype(np.int32)
+    at = np.argsort(cols, kind="stable")
+    return (Selection(rows, cols, vals, _run_pointers(rows, V.shape[0])),
+            Selection(cols[at], rows[at], vals[at], _run_pointers(cols, V.shape[1])))
 
-    Row i's cells are [indptr[i], indptr[i + 1]); `by_col` lists the cells
-    column by column and col_ptr delimits each column's run in that order.
-    """
 
-    def __init__(self, V):
-        self.rows, self.cols = np.nonzero(V)
-        self.vals = V[self.rows, self.cols]
-        self.indptr = _run_pointers(self.rows, V.shape[0])
-        self.by_col = np.argsort(self.cols, kind="stable")
-        self.col_ptr = _run_pointers(self.cols, V.shape[1])
-
-    def select(self, rows=None):
-        """The Selection of `rows`' cells, in that order, with S holding those
-        rows; all rows, of the whole S, when None."""
-        if rows is None:
-            return Selection(self.rows, self.cols, self.vals, self.indptr)
-        lo = self.indptr[rows]
-        counts = self.indptr[rows + 1] - lo
-        ptr = np.concatenate(([0], np.cumsum(counts)))
-        pos = np.arange(ptr[-1]) + np.repeat(lo - ptr[:-1], counts)
-        return Selection(np.repeat(np.arange(len(rows)), counts), self.cols[pos],
-                         self.vals[pos], ptr)
-
-    def columns(self):
-        """The Selection of every cell column by column, rows and columns swapped."""
-        at = self.by_col
-        return Selection(self.cols[at], self.rows[at], self.vals[at], self.col_ptr)
+def _select(sel, rows):
+    """The Selection of sel's runs `rows`, in that order, with X holding those
+    rows alone; sel itself when rows is None."""
+    if rows is None:
+        return sel
+    lo = sel.ptr[rows]
+    counts = sel.ptr[rows + 1] - lo
+    ptr = np.concatenate(([0], np.cumsum(counts)))
+    pos = np.arange(ptr[-1]) + np.repeat(lo - ptr[:-1], counts)
+    return Selection(np.repeat(np.arange(len(rows)), counts), sel.Y_row[pos], sel.val[pos], ptr)
 
 
 def _row_blocks(X, Y, sel):
-    """The Blocks of whole runs of a Selection, in order."""
-    for start, stop, lo, hi in _run_blocks(sel.ptr):
+    """The Blocks of a Selection, in order: consecutive whole runs holding at
+    most BLOCK_CELLS cells, unless a block is one longer run."""
+    ptr, start, n = sel.ptr, 0, sel.ptr.size - 1
+    while start < n:
+        stop = n if ptr[n] - ptr[start] <= BLOCK_CELLS else max(
+            int(np.searchsorted(ptr, ptr[start] + BLOCK_CELLS, "right")) - 1, start + 1)
+        lo, hi = ptr[start], ptr[stop]
         X_at, Y_at = X.take(sel.X_row[lo:hi], axis=0), Y.take(sel.Y_row[lo:hi], axis=0)
-        yield Block(slice(start, stop), slice(lo, hi), X_at, Y_at,
-                    np.einsum("ij,ij->i", X_at, Y_at), sel.ptr[start:stop + 1] - lo)
+        yield Block(slice(start, stop), slice(lo, hi), Y_at,
+                    np.einsum("ij,ij->i", X_at, Y_at), ptr[start:stop + 1] - lo)
+        start = stop
 
 
 class Term:
@@ -253,7 +240,8 @@ class Term:
 
     The methods take the shared rows S and the model's factor dict, so a
     term never holds factor values. `cells` is the observed cells of a
-    sparse Poisson term and None for a dense one.
+    sparse Poisson term, the Selections (by_row, by_col) of _cells, and None
+    for a dense one.
     """
 
     def __init__(self, tensor, k, obs, t_n):
@@ -264,7 +252,7 @@ class Term:
                        if tensor.distribution == lk.GAUSSIAN else None)
         sparse = (tensor.distribution == lk.POISSON
                   and np.count_nonzero(self.V) < SPARSE_DENSITY * self.V.size)
-        self.cells = Cells(self.V) if sparse else None
+        self.cells = _cells(self.V) if sparse else None
 
     def blocks(self, factors):
         return [factors[m] for m in self.tensor.modalities]
@@ -279,7 +267,7 @@ class Term:
                 return lk.nll(self.kind, self.V, vhat, self.params)
             return lk.nll_cells(self.kind, self.V[rows], vhat, self.params).sum(axis=1)
         Bs = blocks[self.k] * marginal_scales(blocks, self.k)
-        sel = self.cells.select(rows)
+        sel = _select(self.cells[0], rows)
         vhat = np.empty(sel.val.size)
         for b in _row_blocks(S, Bs, sel):
             vhat[b.cells] = b.vhat
@@ -308,8 +296,8 @@ class Term:
             return marginal_scales(blocks, self.k, j) * np.einsum("ic,il,lc->c", S, G, B)
         Bs = B * scales
         if j is None:
-            return self._g_sums(S, Bs, self.cells.select(rows))
-        M = self._g_sums(Bs, S, self.cells.columns())  # Gᵀ S
+            return self._g_sums(S, Bs, _select(self.cells[0], rows))
+        M = self._g_sums(Bs, S, self.cells[1])  # Gᵀ S
         if j == self.k:
             return M * scales
         return marginal_scales(blocks, self.k, j) * np.einsum("lc,lc->c", M, B)

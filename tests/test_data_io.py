@@ -400,6 +400,8 @@ class TestSplit:
         obs = {"A": make_obs("A", np.zeros((1, 2)), "poisson", "integer")}
         with pytest.raises(ValueError):
             split_train_test(obs)
+        with pytest.raises(ValueError, match="at least one modality"):
+            split_train_test({})
 
     def test_split_leaving_no_test_patient_is_refused(self):
         obs = two_modality_obs(n=2)
@@ -474,20 +476,27 @@ class TestSynthGenerate:
                                 {"A": "binary", "B": "integer"}, 15, seed=4)
         assert set(np.unique(obs["A"].values)) <= {0.0, 1.0}
 
-    @pytest.mark.parametrize("tensors,datatypes,words", [
+    # sizes None: every modality given a datatype has size 3
+    @pytest.mark.parametrize("tensors,datatypes,words,sizes", [
         ([InteractionTensorSpec("t0", ["A", "B"], "poisson")],
-         {"A": "real", "B": "integer"}, ("'t0'", "'A'", "'real'", "'poisson'")),
+         {"A": "real", "B": "integer"}, ("'t0'", "'A'", "'real'", "'poisson'"), None),
         # a later tensor whose distribution cannot hold a modality the first one drew
         ([InteractionTensorSpec("t0", ["A", "B"], "poisson"),
           InteractionTensorSpec("t1", ["A", "C"], "gaussian", 1.0)],
          {"A": "integer", "B": "integer", "C": "real"},
-         ("'t1'", "'A'", "'integer'", "'gaussian'"))])
-    def test_every_kind_is_checked_before_drawing(self, monkeypatch, tensors, datatypes, words):
+         ("'t1'", "'A'", "'integer'", "'gaussian'"), None),
+        # a tensor modality with no size, or no datatype
+        ([InteractionTensorSpec("t0", ["A", "B"], "poisson")],
+         {"A": "integer", "B": "integer"}, ("'B'", "no size"), {"A": 3}),
+        ([InteractionTensorSpec("t0", ["A", "B"], "poisson")],
+         {"A": "integer"}, ("'B'", "no datatype"), {"A": 3, "B": 3})])
+    def test_every_kind_is_checked_before_drawing(self, monkeypatch, tensors, datatypes, words,
+                                                  sizes):
         def no_draw(*args):
             raise AssertionError("drew a planted factor")
 
         monkeypatch.setattr("margfact.data_io._planted_factor", no_draw)
-        sizes = dict.fromkeys(datatypes, 3)
+        sizes = dict.fromkeys(datatypes, 3) if sizes is None else sizes
         with pytest.raises(ConfigurationError) as info:
             synth_generate(ModelSpec(rank=2, tensors=tensors), sizes, datatypes, 10)
         assert all(word in str(info.value) for word in words), info.value

@@ -219,6 +219,8 @@ class TestFiveFoldCV:
         obs, labels, spec = cv_setup()
         with pytest.raises(ConfigurationError):
             five_fold_cv(obs, labels, spec, spec.solver, n_folds=int(labels.sum()) + 1)
+        with pytest.raises(ConfigurationError, match="at least one modality"):
+            five_fold_cv({}, labels, spec)
 
     @pytest.mark.parametrize("bad", ["short", "long", "three_classes", "fraction"])
     def test_labels_must_be_one_0_or_1_per_patient(self, bad):

@@ -162,8 +162,8 @@ def test_blocks_give_the_one_block_result_bit_for_bit(modalities, case, rank, mo
     block = 2
     if case == "long_row_and_column":
         cells = [t.cells for t in sparse.compiled_terms()]
-        assert max(np.diff(c.indptr).max() for c in cells) > block
-        assert max(np.diff(c.col_ptr).max() for c in cells) > block
+        assert max(np.diff(by_row.ptr).max() for by_row, _ in cells) > block
+        assert max(np.diff(by_col.ptr).max() for _, by_col in cells) > block
 
     def outputs(block_cells):
         with monkeypatch.context() as patch:
@@ -179,6 +179,23 @@ def test_blocks_give_the_one_block_result_bit_for_bit(modalities, case, rank, mo
 
     for got, want in zip(outputs(block), outputs(10 ** 9), strict=True):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_column_order_is_the_row_order_stably_sorted_by_column(case, monkeypatch):
+    sparse, _ = pair(("A", "B", "C"), case, monkeypatch)
+    for term in sparse.compiled_terms():
+        by_row, by_col = term.cells
+        rows, cols = np.nonzero(term.V)
+        assert np.array_equal(by_row.X_row, rows) and np.array_equal(by_row.Y_row, cols)
+        assert np.array_equal(by_row.val, term.V[rows, cols])
+        assert np.array_equal(np.diff(by_row.ptr), np.count_nonzero(term.V, axis=1))
+        triples = list(zip(by_row.X_row.tolist(), by_row.Y_row.tolist(), by_row.val.tolist()))
+        swapped = list(zip(by_col.Y_row.tolist(), by_col.X_row.tolist(), by_col.val.tolist()))
+        assert swapped == sorted(triples, key=lambda cell: cell[1])
+        assert np.array_equal(np.diff(by_col.ptr), np.count_nonzero(term.V, axis=0))
+        assert {a.dtype for a in (by_row.X_row, by_row.Y_row, by_col.X_row, by_col.Y_row)} \
+            == {np.dtype(np.int32)}
 
 
 def test_shared_gradient_memory_is_bounded_by_the_block(monkeypatch):

@@ -7,9 +7,9 @@ gradient with respect to the reconstruction. All kernels are guarded so
 they stay finite on the non-negative orthant (projected factors can hit
 exact zero). erf is math.erf cell by cell (within 1 ulp). A Gaussian-binary
 cell's NLL is -log(erfc(y)/2), with y > 0 where the recorded value is the
-unlikely one; erfc(y) comes from math.erfc and, in the far tail, from its
-asymptotic series, so the NLL and its gradient stay accurate and consistent
-for every y.
+unlikely one; erfc(y) comes from erf where y <= 0, from math.erfc above and
+from its asymptotic series in the far tail, so the NLL and its gradient stay
+accurate and consistent for every y.
 
 A Poisson cell NLL is vhat (floored at EPS for the binary kind) minus
 poisson_log_term, and its gradient is 1 - poisson_weight. Both helpers are
@@ -182,13 +182,15 @@ def _erfc_series(y):
 
 def _gaussian_binary_erfc(Vb, Vhat, params):
     """(y, erfc(y), tail) per cell, with y = (1 - 2V) vhat / (sigma sqrt(2 t_n)):
-    the cell's probability is erfc(y) / 2. erfc(y) is math.erfc(y) up to
-    ERFC_ASYMPTOTIC, one call per cell; on the tail mask, beyond, it reads 1
-    and the caller uses the series."""
+    the cell's probability is erfc(y) / 2. erfc(y) is 1 + erf(-y) where y <= 0
+    and math.erfc(y) up to ERFC_ASYMPTOTIC, one call per cell; on the tail
+    mask, beyond, it reads 1 and the caller uses the series."""
     y = np.asarray((1.0 - 2.0 * Vb) * Vhat / _gaussian_scale(params))
-    tail = y > ERFC_ASYMPTOTIC
+    low, tail = y <= 0.0, y > ERFC_ASYMPTOTIC
     erfc_y = np.ones(y.shape)
-    erfc_y[~tail] = _per_cell(math.erfc, y[~tail])  # NaN included, so that it propagates
+    erfc_y[low] = 1.0 + erf(-y[low])
+    mid = ~(low | tail)  # NaN included, so that it propagates
+    erfc_y[mid] = _per_cell(math.erfc, y[mid])
     return y, erfc_y, tail
 
 

@@ -197,16 +197,27 @@ Selection = namedtuple("Selection", "X_row Y_row val ptr")
 Block = namedtuple("Block", "runs cells Y vhat ptr")
 
 
+#: A sparse term's cells in its two orders: by_row, runs = rows (X = S, Y
+#: the items), and by_col, rows and columns swapped, runs = columns.
+CellOrders = namedtuple("CellOrders", "by_row by_col")
+
+
+def _order(V, X_row, Y_row):
+    """V's cells (X_row, Y_row), X_row sorted, as a Selection whose runs are V's rows."""
+    return Selection(X_row, Y_row, V[X_row, Y_row], _run_pointers(X_row, V.shape[0]))
+
+
 def _cells(V):
-    """The nonzero cells of V as two Selections: by_row, row by row, and
-    by_col, rows and columns swapped and stably sorted by column. The indices
-    are int32, so the two orders cost what one order and a permutation would."""
-    rows, cols = np.nonzero(V)
-    vals = V[rows, cols]
-    rows, cols = rows.astype(np.int32), cols.astype(np.int32)
+    """The nonzero cells of V in both CellOrders, by_col stably sorted by
+    column. The indices are int32, so the two orders cost 32 bytes a cell;
+    the column permutation is dropped before by_col's values are read, so
+    building them peaks at 32 bytes a cell too."""
+    rows, cols = (a.astype(np.int32) for a in np.nonzero(V))
+    by_row = _order(V, rows, cols)
     at = np.argsort(cols, kind="stable")
-    return (Selection(rows, cols, vals, _run_pointers(rows, V.shape[0])),
-            Selection(cols[at], rows[at], vals[at], _run_pointers(cols, V.shape[1])))
+    cols, rows = cols[at], rows[at]
+    del at
+    return CellOrders(by_row, _order(V.T, cols, rows))
 
 
 def _select(sel, rows):
@@ -239,9 +250,8 @@ class Term:
     """One (tensor, target modality) NLL term, compiled once per model.
 
     The methods take the shared rows S and the model's factor dict, so a
-    term never holds factor values. `cells` is the observed cells of a
-    sparse Poisson term, the Selections (by_row, by_col) of _cells, and None
-    for a dense one.
+    term never holds factor values. `cells` is the CellOrders of a sparse
+    Poisson term's observed cells and None for a dense one.
     """
 
     def __init__(self, tensor, k, obs, t_n):
@@ -267,7 +277,7 @@ class Term:
                 return lk.nll(self.kind, self.V, vhat, self.params)
             return lk.nll_cells(self.kind, self.V[rows], vhat, self.params).sum(axis=1)
         Bs = blocks[self.k] * marginal_scales(blocks, self.k)
-        sel = _select(self.cells[0], rows)
+        sel = _select(self.cells.by_row, rows)
         vhat = np.empty(sel.val.size)
         for b in _row_blocks(S, Bs, sel):
             vhat[b.cells] = b.vhat
@@ -296,8 +306,8 @@ class Term:
             return marginal_scales(blocks, self.k, j) * np.einsum("ic,il,lc->c", S, G, B)
         Bs = B * scales
         if j is None:
-            return self._g_sums(S, Bs, _select(self.cells[0], rows))
-        M = self._g_sums(Bs, S, self.cells[1])  # Gᵀ S
+            return self._g_sums(S, Bs, _select(self.cells.by_row, rows))
+        M = self._g_sums(Bs, S, self.cells.by_col)  # Gᵀ S
         if j == self.k:
             return M * scales
         return marginal_scales(blocks, self.k, j) * np.einsum("lc,lc->c", M, B)

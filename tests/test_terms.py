@@ -162,8 +162,8 @@ def test_blocks_give_the_one_block_result_bit_for_bit(modalities, case, rank, mo
     block = 2
     if case == "long_row_and_column":
         cells = [t.cells for t in sparse.compiled_terms()]
-        assert max(np.diff(by_row.ptr).max() for by_row, _ in cells) > block
-        assert max(np.diff(by_col.ptr).max() for _, by_col in cells) > block
+        assert max(np.diff(c.by_row.ptr).max() for c in cells) > block
+        assert max(np.diff(c.by_col.ptr).max() for c in cells) > block
 
     def outputs(block_cells):
         with monkeypatch.context() as patch:
@@ -185,7 +185,7 @@ def test_blocks_give_the_one_block_result_bit_for_bit(modalities, case, rank, mo
 def test_column_order_is_the_row_order_stably_sorted_by_column(case, monkeypatch):
     sparse, _ = pair(("A", "B", "C"), case, monkeypatch)
     for term in sparse.compiled_terms():
-        by_row, by_col = term.cells
+        by_row, by_col = term.cells.by_row, term.cells.by_col
         rows, cols = np.nonzero(term.V)
         assert np.array_equal(by_row.X_row, rows) and np.array_equal(by_row.Y_row, cols)
         assert np.array_equal(by_row.val, term.V[rows, cols])

@@ -209,9 +209,10 @@ def _order(V, X_row, Y_row):
 
 def _cells(V):
     """The nonzero cells of V in both CellOrders, by_col stably sorted by
-    column. The indices are int32, so the two orders cost 32 bytes a cell;
-    the column permutation is dropped before by_col's values are read, so
-    building them peaks at 32 bytes a cell too."""
+    column. The indices are int32, so the two orders cost 32 bytes a cell,
+    what one int64 order and its permutation cost. The permutation is
+    dropped before by_col's values are read: building both peaks at 41
+    bytes a cell (tracemalloc), not 49."""
     rows, cols = (a.astype(np.int32) for a in np.nonzero(V))
     by_row = _order(V, rows, cols)
     at = np.argsort(cols, kind="stable")

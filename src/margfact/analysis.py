@@ -57,6 +57,8 @@ def extract_correspondence(model, tensor_id, anchor_modality, anchor_item,
     row, and l1-normalizes it. tensor_id None picks the first tensor that
     lists both modalities (find_tensor).
     """
+    if target_modality == anchor_modality:
+        raise ConfigurationError(f"target modality {target_modality!r} is the anchor's own")
     tensor = find_tensor(model, tensor_id, anchor_modality, target_modality)
     obs_a = model.observations[anchor_modality]
     try:

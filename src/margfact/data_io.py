@@ -396,13 +396,6 @@ def load_labels(path, shared_ids):
         raise IngestionError(f"{path}: missing label for patient {exc.args[0]!r}") from exc
 
 
-def save_labels(path, shared_ids, labels):
-    with _open(path, "w") as fh:
-        fh.write("patient_id,label\n")
-        for pid, y in zip(map(_field, shared_ids), labels):
-            fh.write(f"{pid},{int(y)}\n")
-
-
 def _take_patients(observations, idx):
     out = {}
     for name, obs in observations.items():
@@ -457,8 +450,6 @@ def split_train_test(observations, labels=None, ratio=0.8, seed=0, stratify=Fals
 class SyntheticTruth:
     shared: np.ndarray
     modality_factors: dict
-    marginal_means: dict  # (tensor_id, modality) -> planted reconstruction
-    seed: int
 
 
 def _planted_factor(rng, rows, rank, sparsity, scale):
@@ -505,15 +496,13 @@ def synth_generate(model_spec, modality_sizes, datatypes, n_patients,
     shared_ids = [f"p{i}" for i in range(n_patients)]
 
     observations = {}
-    marginal_means = {}
     for tensor in model_spec.tensors:
         mods = tensor.modalities
         blocks = [factors[m] for m in mods]
         for k, name in enumerate(mods):
-            vhat = reconstruct_marginal(shared, blocks, k)
-            marginal_means[(tensor.id, name)] = vhat
             if name in observations:
                 continue
+            vhat = reconstruct_marginal(shared, blocks, k)
             kind = kinds[tensor.id, name]
             dtype = kind.datatype
             if tensor.distribution == POISSON:
@@ -532,5 +521,4 @@ def synth_generate(model_spec, modality_sizes, datatypes, n_patients,
             item_ids = [f"{name}_{j}" for j in range(vhat.shape[1])]
             observations[name] = ObservationMatrix(name, shared_ids, item_ids, kind, values)
 
-    truth = SyntheticTruth(shared, factors, marginal_means, seed)
-    return observations, truth
+    return observations, SyntheticTruth(shared, factors)

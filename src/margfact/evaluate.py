@@ -61,7 +61,6 @@ def lasso_logistic_fit(X, y, lam):
         obj_new = _logistic_loss(z, y) + lam * np.sum(np.abs(w_new))
         w, b = w_new, b_new
         if abs(obj - obj_new) <= TOL * max(1.0, abs(obj)):
-            obj = obj_new
             break
         obj = obj_new
     return w, b

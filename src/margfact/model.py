@@ -395,6 +395,8 @@ def objective(model, block=None, parts=None):
     modality the terms of the tensors that list it and its own two
     penalties. Every form returns the same float.
     """
+    if block not in (None, SHARED) and block not in model.factors:
+        raise ConfigurationError(f"unknown block {block!r}")
     parts = {} if parts is None else parts
     cfg = model.spec.regularizer
     terms = model.compiled_terms()

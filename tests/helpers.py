@@ -1,11 +1,13 @@
 """Shared builders for small synthetic models used across the test suite,
 and the brute-force full-tensor oracles the marginal algebra is checked against."""
 
+import csv
+
 import numpy as np
 
 from margfact import (ConfigurationError, InteractionTensorSpec, ModelSpec,
                       ObservationKind, ObservationMatrix, RegularizerConfig,
-                      SolverConfig, build_model)
+                      SolverConfig, build_model, reconstruct_marginal)
 from margfact.errors import MargfactError
 from margfact.tensor import _common_rank
 
@@ -55,6 +57,20 @@ def marginalize(tensor, keep):
     if a > b:
         out = out.T
     return out
+
+
+def planted_marginal(truth, modalities, k):
+    """The planted mean synth_generate draws modality k of a tensor over
+    `modalities` from."""
+    return reconstruct_marginal(truth.shared, [truth.modality_factors[m] for m in modalities], k)
+
+
+def write_labels(path, shared_ids, labels):
+    """A patient_id,label CSV as load_labels reads it, ids quoted by the csv rules."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["patient_id", "label"])
+        writer.writerows(zip(shared_ids, map(int, labels)))
 
 
 def make_obs(name, values, distribution, datatype, shared_ids=None):

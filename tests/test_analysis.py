@@ -81,6 +81,13 @@ class TestExtractCorrespondence:
         with pytest.raises(ConfigurationError, match=item):
             extract_correspondence(model, "ab", "A", item, "B", population=np.array([], dtype=int))
 
+    @pytest.mark.parametrize("anchor,item,target,message", [
+        ("A", "A_9", "B", "item 'A_9' not in modality 'A'"),
+        ("A", "A_0", "A", "target modality 'A' is the anchor's own")])
+    def test_refusals(self, anchor, item, target, message):
+        with pytest.raises(ConfigurationError, match=message):
+            extract_correspondence(poisson_pair_model(), None, anchor, item, target)
+
     @pytest.mark.parametrize("population", [[-1], [3], [0, 0, 0], [[0, 1]], [1.7]])
     def test_population_must_list_distinct_patients(self, population):
         model = poisson_pair_model(n_patients=3)

@@ -141,6 +141,33 @@ class TestSynth:
         assert all(word in err for word in ("'A'", "binary", "gaussian", "'B'", "poisson"))
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("tokens,message", [
+        (("A:4:real:poisson", "B:3:integer:poisson"),
+         "modality 'A': datatype 'real' incompatible with distribution 'poisson' of tensor 't0'"),
+        (("A:4:integer:gaussian",), "modality 'A': datatype 'integer' incompatible"),
+        (("A:4:count:poisson",), "modality 'A': datatype 'count' incompatible"),
+        (("A:4:integer:foo", "B:3:integer:poisson"), "anchor 'A' (integer, foo) cannot share"),
+        (("A:4:integer:poisson", "B:3:integer:foo"), "tensor 't0': unknown distribution 'foo'"),
+        (("A:4:integer:poisson", "B:3:integer:poisson", "C:3:real:gaussian"),
+         "modality 'A': datatype 'integer' incompatible with distribution 'gaussian' of "
+         "tensor 't1'"),
+        (("A:4:binary:poisson", "B:3:real:poisson"), "modality 'B': datatype 'real'")])
+    def test_kind_a_tensor_cannot_hold_usage_error(self, tmp_path, capsys, tokens, message):
+        code = run("synth", *(x for token in tokens for x in ("--modality", token)),
+                   "--out", str(tmp_path / "x"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
+    def test_binary_anchor_shares_a_gaussian_tensor(self, tmp_path):
+        code = run("synth", "--modality", "A:4:binary:gaussian", "--modality",
+                   "B:3:real:gaussian", "--out", str(tmp_path / "x"))
+        assert code == 0
+        manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
+        assert [m["kind"] for m in manifest["modalities"]] == ["gaussian-binary",
+                                                               "gaussian-real"]
+
 
 class TestTrain:
     def test_repeated_modality_in_spec_usage_error(self, tmp_path, capsys):
@@ -305,6 +332,16 @@ class TestCorrespondence:
                    "--anchor", "A:A_0", "--target", "B", "--top", top, "--out", str(out))
         assert code == 2
         assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
+
+    def test_target_the_anchor_modality_usage_error(self, trained, capsys):
+        manifest, model_dir, tmp_path = trained
+        out = tmp_path / "corr.csv"
+        code = run("correspondence", "--manifest", manifest, "--model", model_dir,
+                   "--anchor", "A:A_0", "--target", "A", "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_unknown_target_modality_usage_error(self, trained):

@@ -8,15 +8,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from margfact import (ConfigurationError, IngestionError, InteractionTensorSpec, ModelSpec,
-                      ObservationKind, ObservationMatrix, binarize, load_observations,
-                      save_observations, split_train_test, synth_generate)
+from margfact import (ConfigurationError, GaussianParams, IngestionError,
+                      InteractionTensorSpec, ModelSpec, ObservationKind, ObservationMatrix,
+                      binarize, load_observations, save_observations, split_train_test,
+                      synth_generate)
 from margfact.analysis import CorrespondenceRow
 from margfact.data_io import (load_labels, read_annotations, read_factor_csv, read_json,
-                              save_labels, stratified_split, write_correspondence,
-                              write_factor_csv, write_json)
+                              stratified_split, write_correspondence, write_factor_csv,
+                              write_json)
+from margfact.likelihoods import gaussian_binary_prob
 
-from helpers import make_obs
+from helpers import make_obs, planted_marginal, write_labels
 
 
 def two_modality_obs(seed=0, n=10):
@@ -111,10 +113,24 @@ class TestLoadSave:
         with pytest.raises(IngestionError, match=r"A\.csv: A: non-finite"):
             load_observations(d / "manifest.json")
 
+    @pytest.mark.parametrize("kind,line,message", [
+        ("poisson-integer", "p0,x,-1", "A.csv: A: negative value present"),
+        ("poisson-integer", "p0,x,1.5", "A.csv: A: non-integer value in integer-kind matrix"),
+        ("poisson-integer", "p0,x", "A.csv:2: expected 3 fields, got 2"),
+        ("gaussian-real", "p0,x,abc", "A.csv:2: bad value 'abc'")])
+    def test_bad_triplet_refused(self, tmp_path, kind, line, message):
+        (tmp_path / "A.csv").write_text(f"patient_id,item_id,value\n{line}\n")
+        (tmp_path / "A.vocab.txt").write_text("x\n")
+        (tmp_path / "manifest.json").write_text(
+            '{"modalities": [{"name": "A", "path": "A.csv", "kind": "%s",'
+            ' "vocab_path": "A.vocab.txt"}]}' % kind)
+        with pytest.raises(IngestionError, match=re.escape(message)):
+            load_observations(tmp_path / "manifest.json")
+
     def test_labels_round_trip(self, tmp_path):
         ids = [f"p{i}" for i in range(6)]
         labels = np.array([0, 1, 1, 0, 0, 1])
-        save_labels(tmp_path / "labels.csv", ids, labels)
+        write_labels(tmp_path / "labels.csv", ids, labels)
         np.testing.assert_array_equal(load_labels(tmp_path / "labels.csv", ids), labels)
 
     def test_duplicate_label_refused(self, tmp_path):
@@ -130,6 +146,19 @@ class TestLoadSave:
         with pytest.raises(IngestionError, match=r"ann\.csv:4: duplicate annotation of "
                                                  r"'A_0', 'B_0' \(first on line 2\)"):
             read_annotations(path)
+
+    @pytest.mark.parametrize("read,text,message", [
+        (lambda path: load_labels(path, ["p0"]), "patient,label\np0,0\n",
+         "in.csv:1: expected header patient_id,label"),
+        (lambda path: load_labels(path, ["p0"]), "patient_id,label\np0,2\n",
+         "in.csv:2: expected patient_id,label with label in {0,1}"),
+        (read_annotations, "anchor,target,score\n",
+         "in.csv:1: expected header anchor_item,target_item,score")])
+    def test_malformed_labels_or_annotations_refused(self, tmp_path, read, text, message):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        with pytest.raises(IngestionError, match=re.escape(message)):
+            read(path)
 
 
 # free-text ids as EHR exports hold them: commas, double quotes, both, and
@@ -170,7 +199,7 @@ class TestQuotedIds:
 
     def test_labels_round_trip(self, tmp_path):
         labels = np.array([1, 0, 1, 0, 0])
-        save_labels(tmp_path / "labels.csv", PATIENTS, labels)
+        write_labels(tmp_path / "labels.csv", PATIENTS, labels)
         np.testing.assert_array_equal(load_labels(tmp_path / "labels.csv", PATIENTS), labels)
 
     def test_factor_csv_round_trip(self, tmp_path):
@@ -403,6 +432,11 @@ class TestSplit:
         with pytest.raises(ValueError, match="at least one modality"):
             split_train_test({})
 
+    @pytest.mark.parametrize("ratio", [0.0, 1.0, -0.5, 1.5])
+    def test_ratio_outside_unit_interval_refused(self, ratio):
+        with pytest.raises(ValueError, match=r"ratio must lie in \(0, 1\)"):
+            split_train_test(two_modality_obs(), ratio=ratio)
+
     def test_split_leaving_no_test_patient_is_refused(self):
         obs = two_modality_obs(n=2)
         with pytest.raises(ValueError, match="leaves no test patient"):
@@ -438,24 +472,23 @@ def simple_spec(distribution="poisson", sigma2=None, datatype=None):
 
 class TestSynthGenerate:
     def test_poisson_counts(self):
-        obs, truth = synth_generate(simple_spec(), {"A": 4, "B": 5},
-                                    {"A": "integer", "B": "integer"}, 20, seed=1)
+        obs, _ = synth_generate(simple_spec(), {"A": 4, "B": 5},
+                                {"A": "integer", "B": "integer"}, 20, seed=1)
         assert obs["A"].values.shape == (20, 4)
         assert np.all(obs["A"].values == np.round(obs["A"].values))
-        assert ("ab", "A") in truth.marginal_means
 
     def test_gaussian_degenerate_variance(self):
         spec = simple_spec("gaussian", sigma2=1e-300)
         obs, truth = synth_generate(spec, {"A": 3, "B": 4},
                                     {"A": "real", "B": "real"}, 10, seed=2)
-        np.testing.assert_allclose(obs["A"].values, truth.marginal_means[("ab", "A")],
+        np.testing.assert_allclose(obs["A"].values, planted_marginal(truth, ["A", "B"], 0),
                                    atol=1e-6)
 
     def test_zero_mean_rows_zero(self):
         obs, truth = synth_generate(simple_spec(), {"A": 3, "B": 3},
                                     {"A": "integer", "B": "integer"}, 30,
                                     sparsity=0.3, seed=3)
-        vhat = truth.marginal_means[("ab", "A")]
+        vhat = planted_marginal(truth, ["A", "B"], 0)
         zero_rows = np.flatnonzero(vhat.sum(axis=1) == 0)
         for i in zero_rows:
             assert np.all(obs["A"].values[i] == 0)
@@ -465,11 +498,21 @@ class TestSynthGenerate:
         spec = simple_spec()
         _, truth = synth_generate(spec, {"A": 2, "B": 2},
                                   {"A": "integer", "B": "integer"}, 5, seed=0)
-        vhat = truth.marginal_means[("ab", "A")][0, 0]
+        vhat = planted_marginal(truth, ["A", "B"], 0)[0, 0]
         rng = np.random.default_rng(77)
         samples = rng.poisson(vhat, size=1000)
         se = math.sqrt(max(vhat, 1e-12) / 1000)
         assert abs(samples.mean() - vhat) <= 3 * se + 1e-9
+
+    def test_gaussian_binary_share_of_ones(self):
+        # the share of ones drawn approaches the mean of the cells' probabilities
+        obs, truth = synth_generate(simple_spec("gaussian", sigma2=0.1), {"A": 3, "B": 4},
+                                    {"A": "binary", "B": "real"}, 2000, seed=5)
+        p = gaussian_binary_prob(planted_marginal(truth, ["A", "B"], 0), GaussianParams(0.1, 4))
+        assert 0.6 < p.mean() < 0.95  # far from the draws of a fair or a certain coin
+        assert set(np.unique(obs["A"].values)) <= {0.0, 1.0}
+        se = math.sqrt(np.sum(p * (1.0 - p))) / p.size
+        assert abs(obs["A"].values.mean() - p.mean()) <= 4 * se
 
     def test_binary_kind(self):
         obs, _ = synth_generate(simple_spec(), {"A": 3, "B": 3},
@@ -489,7 +532,10 @@ class TestSynthGenerate:
         ([InteractionTensorSpec("t0", ["A", "B"], "poisson")],
          {"A": "integer", "B": "integer"}, ("'B'", "no size"), {"A": 3}),
         ([InteractionTensorSpec("t0", ["A", "B"], "poisson")],
-         {"A": "integer"}, ("'B'", "no datatype"), {"A": 3, "B": 3})])
+         {"A": "integer"}, ("'B'", "no datatype"), {"A": 3, "B": 3}),
+        # a size for a modality no tensor lists
+        ([InteractionTensorSpec("t0", ["A", "B"], "poisson")],
+         {"A": "integer", "B": "integer"}, ("'C'", "not referenced"), {"A": 3, "B": 3, "C": 3})])
     def test_every_kind_is_checked_before_drawing(self, monkeypatch, tensors, datatypes, words,
                                                   sizes):
         def no_draw(*args):

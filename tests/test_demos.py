@@ -1,7 +1,7 @@
 """Smoke tests of the narrative demos: each runs in a fresh interpreter.
 
 Demos 01-03 take a few seconds together on one BLAS thread. Demo 04
-(cross-validated prediction) takes about 12 s and is left out.
+(cross-validated prediction) takes about 9-11 s on 2 cores and is left out.
 """
 
 import os

@@ -55,6 +55,12 @@ def test_only_data_io_reads_or_writes_files(path):
         assert not opens_files(tree), f"{path.name} calls open()"
 
 
+def test_only_likelihoods_names_the_kind_pairs():
+    # tensor_kind is the one rule for which datatypes a distribution can hold
+    naming = [path.name for path in MODULES if "VALID_KINDS" in path.read_text(encoding="utf-8")]
+    assert naming == ["likelihoods.py"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_numpy_is_the_only_third_party_import(path):
     third_party = set(imported_names(parse(path))) - sys.stdlib_module_names

@@ -84,6 +84,12 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="more than once"):
             InteractionTensorSpec("t", ["A", "B", "A"], "poisson")
 
+    def test_repeated_tensor_id_errors(self):
+        tensors = [InteractionTensorSpec("t", ["A", "B"], "poisson"),
+                   InteractionTensorSpec("t", ["A", "C"], "poisson")]
+        with pytest.raises(ConfigurationError, match="tensor ids must be unique"):
+            ModelSpec(rank=2, tensors=tensors)
+
     @pytest.mark.parametrize("field", ["max_sweeps"])
     def test_negative_solver_count_errors(self, field):
         assert getattr(SolverConfig(**{field: 0}), field) == 0
@@ -222,6 +228,16 @@ class TestGradientBlock:
 
             numeric = central_difference(f, point)
             assert_grad_close(analytic, numeric, rtol=1e-4, atol=1e-6)
+
+    def test_unknown_block_errors(self):
+        model = poisson_pair_model()
+        parts = {}
+        objective(model, None, parts)
+        for evaluate in (lambda: gradient_block(model, "Nope"),
+                         lambda: objective(model, "Nope"),
+                         lambda: objective(model, "Nope", parts)):
+            with pytest.raises(ConfigurationError, match="unknown block 'Nope'"):
+                evaluate()
 
     def test_shared_modality_gradient_additivity(self):
         rng = np.random.default_rng(6)

@@ -19,13 +19,16 @@ thread before numpy loads. Each line is `<output> <sha256>`:
 - split: the labels of split_train_test(stratify=True) and the Dx values
   of a plain split of cv_mixed seed 1, for split seeds 0-4;
 - three_way: every block gradient, the objective and two correspondence
-  rows of a three-modality model (the column-scale product with skips).
+  rows of a three-modality model (the column-scale product with skips);
+- save_observations: the name and bytes of every file save_observations
+  writes for cv_mixed seed 0 (all four kinds) and cohort10k seed 0.
 """
 
 import dataclasses
 import hashlib
 import os
 import sys
+import tempfile
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -39,7 +42,7 @@ import workloads  # noqa: E402
 from margfact import (InteractionTensorSpec, ModelSpec, SolverConfig,  # noqa: E402
                       build_model, extract_correspondence, five_fold_cv,
                       gradient_block, objective, project_patients,
-                      split_train_test, synth_generate, train)
+                      save_observations, split_train_test, synth_generate, train)
 from margfact.data_io import _take_patients  # noqa: E402
 from margfact.model import SHARED, Model  # noqa: E402
 
@@ -113,6 +116,19 @@ def three_way():
     return sha(*grads, [objective(model)], *rows)
 
 
+def saved_files():
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("cv_mixed", "cohort10k"):
+            out = os.path.join(tmp, name)
+            save_observations(workloads.generate(workloads.WORKLOADS[name], 0).observations, out)
+            for file_name in sorted(os.listdir(out)):
+                h.update(file_name.encode())
+                with open(os.path.join(out, file_name), "rb") as fh:
+                    h.update(fh.read())
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
     for seed in range(6):
         loss_trace, steps = fit500(seed)
@@ -127,4 +143,5 @@ if __name__ == "__main__":
     print(f"cv_mixed.loss_trace {loss_trace}")
     print(f"cv_mixed.five_fold_cv {cv}")
     print(f"cv_mixed.split_train_test {split}")
-    print(f"three_way.gradients_objective_correspondence {three_way()}")
+    print(f"three_way.gradients_objective_correspondence {three_way()}", flush=True)
+    print(f"save_observations.files {saved_files()}")

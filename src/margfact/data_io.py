@@ -2,12 +2,13 @@
 
 Observations live on disk as triplet CSVs (patient_id,item_id,value) with
 implicit zeros, referenced from a JSON manifest. In memory they are dense
-patient-by-item arrays with ordered id lists. Fitted factors are CSVs
-(entity_id,f1,...,fR), and specs, traces and reports are JSON documents.
+patient-by-item arrays with ordered id lists: bool for a binary kind, one
+byte a cell, and float64 for the integer and real kinds. Fitted factors are
+CSVs (entity_id,f1,...,fR), and specs, traces and reports are JSON documents.
 
 CSV writers quote an id by the csv rules, only where it holds a comma, a
-double quote or a line break, and every CSV reader parses with csv.reader,
-so any id round-trips through a CSV. A vocabulary file holds one item id
+double quote or a line break, and every CSV reader parses as csv.reader
+does, so any id round-trips through a CSV. A vocabulary file holds one item id
 per line, as written, so an item id may not be empty or hold a line break.
 A file that cannot be read, or whose content is malformed, raises
 IngestionError naming it; a file or directory that cannot be written
@@ -16,6 +17,7 @@ raises ConfigurationError.
 
 import contextlib
 import csv
+import io
 import itertools
 import json
 import math
@@ -88,35 +90,50 @@ def write_json(path, doc, sort_keys=False):
         fh.write("\n")
 
 
+def _value_dtype(kind):
+    """The dtype an ObservationMatrix of kind stores: bool for a binary kind,
+    float64 otherwise (it holds every count exactly up to 2**53)."""
+    return bool if kind.datatype == BINARY else float
+
+
 @dataclass
 class ObservationMatrix:
     modality: str
     shared_ids: list
     item_ids: list
     kind: ObservationKind
-    values: np.ndarray  # dense (I_s, I_n)
+    values: np.ndarray  # dense (I_s, I_n), of dtype _value_dtype(kind)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (len(self.shared_ids), len(self.item_ids)):
-            raise IngestionError(f"{self.modality}: value shape {self.values.shape} does not match "
+        values = np.asarray(self.values)
+        if values.shape != (len(self.shared_ids), len(self.item_ids)):
+            raise IngestionError(f"{self.modality}: value shape {values.shape} does not match "
                                  f"ids ({len(self.shared_ids)}, {len(self.item_ids)})")
-        _check_values(self.modality, self.kind, self.values)
+        if not (values.dtype == bool and self.kind.datatype == BINARY):  # else valid as it is
+            values = np.asarray(values, dtype=float)
+            _check_values(self.modality, self.kind, values)
+        self.values = values.astype(_value_dtype(self.kind), copy=False)
 
     @property
     def n_items(self):
         return len(self.item_ids)
 
 
+def _value_faults(kind, values):
+    """(mask, what) for each rule a value of kind must keep, in order, with
+    mask marking the float values that break it."""
+    yield ~np.isfinite(values), "non-finite value"
+    yield values < 0, "negative value"
+    if kind.datatype == INTEGER:
+        yield values != np.round(values), "non-integer value"
+    if kind.datatype == BINARY:
+        yield (values != 0) & (values != 1), "non-binary value"
+
+
 def _check_values(modality, kind, values):
-    if not np.isfinite(values).all():
-        raise IngestionError(f"{modality}: non-finite value (NaN or inf) present")
-    if np.any(values < 0):
-        raise IngestionError(f"{modality}: negative value present")
-    if kind.datatype == INTEGER and np.any(values != np.round(values)):
-        raise IngestionError(f"{modality}: non-integer value in integer-kind matrix")
-    if kind.datatype == BINARY and np.any((values != 0) & (values != 1)):
-        raise IngestionError(f"{modality}: non-binary value in binary-kind matrix")
+    for mask, what in _value_faults(kind, values):
+        if mask.any():
+            raise IngestionError(f"{modality}: {what} in a {kind} matrix")
 
 
 def _note_line(first_line, key, path, lineno, what):
@@ -138,24 +155,65 @@ def _read_vocab(path):
     return list(first_line)
 
 
+_TRIPLET_HEADER = "patient_id,item_id,value"
+
+
 def _read_triplets(path):
-    """Columns (patient ids, item ids, values) of a triplet CSV; triplet i is on line i + 2."""
-    pids, items, values = [], [], []
+    """Columns (patient ids, item ids, values) of a triplet CSV; triplet i is on line i + 2.
+
+    In text without a double quote or a carriage return csv.reader cuts the
+    fields at every comma and line feed. Such text whose body is three fields
+    a line is split so in one pass, with no Python object per row. Other text,
+    and text holding a value float() refuses, is read by csv.reader, which
+    names the line of its first fault.
+    """
     with _open(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["patient_id", "item_id", "value"]:
-            raise IngestionError(f"{path}:1: expected header patient_id,item_id,value")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise IngestionError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            try:
-                value = float(row[2])
-            except ValueError as exc:
-                raise IngestionError(f"{path}:{lineno}: bad value {row[2]!r}") from exc
-            pids.append(row[0])
-            items.append(row[1])
-            values.append(value)
+        text = fh.read()
+    header, _, body = text.partition("\n")
+    if header == _TRIPLET_HEADER and '"' not in text and "\r" not in text:
+        columns = _split_triplets(body)
+        if columns is not None:
+            return columns
+    return _parse_triplets(path, text)
+
+
+def _split_triplets(body):
+    """The columns of the lines after a triplet header, split at commas and
+    line feeds, or None unless every line holds three fields and every value
+    is a float."""
+    if not body:
+        return [], [], np.zeros(0)
+    body = body.removesuffix("\n")
+    raw = np.frombuffer(body.encode(), dtype=np.uint8)
+    separators = raw[(raw == ord(",")) | (raw == ord("\n"))]
+    # three fields a line: a line feed after every second comma, none elsewhere
+    if separators.size % 3 != 2 or not np.array_equal(
+            np.flatnonzero(separators == ord("\n")), np.arange(2, separators.size, 3)):
+        return None
+    fields = body.replace("\n", ",").split(",")
+    try:
+        values = np.fromiter(map(float, fields[2::3]), dtype=float, count=len(fields) // 3)
+    except ValueError:
+        return None
+    return fields[0::3], fields[1::3], values
+
+
+def _parse_triplets(path, text):
+    """_read_triplets' columns of the file text by csv.reader, row by row."""
+    pids, items, values = [], [], []
+    reader = csv.reader(io.StringIO(text, newline=""))
+    if next(reader, None) != _TRIPLET_HEADER.split(","):
+        raise IngestionError(f"{path}:1: expected header patient_id,item_id,value")
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != 3:
+            raise IngestionError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+        try:
+            value = float(row[2])
+        except ValueError as exc:
+            raise IngestionError(f"{path}:{lineno}: bad value {row[2]!r}") from exc
+        pids.append(row[0])
+        items.append(row[1])
+        values.append(value)
     return pids, items, np.array(values, dtype=float)
 
 
@@ -164,11 +222,12 @@ def _indices(ids, index):
     return np.fromiter(map(index.get, ids, itertools.repeat(-1)), dtype=np.intp, count=len(ids))
 
 
-def _fill(path, triplets, pidx, n_rows, vocab):
-    """(n_rows, len(vocab)) array of the triplets' values at (pidx row, vocab
-    column); every patient and item must be known and every (patient, item)
-    pair unique. An error names the line of the first offending triplet in
-    file order."""
+def _fill(path, triplets, pidx, n_rows, vocab, kind):
+    """(n_rows, len(vocab)) array of dtype _value_dtype(kind) holding the
+    triplets' values at (pidx row, vocab column); every patient and item must
+    be known, every (patient, item) pair unique and every value one kind
+    holds. An error names the line of the first offending triplet in file
+    order."""
     pids, items, values = triplets
     rows = _indices(pids, pidx)
     cols = _indices(items, {it: j for j, it in enumerate(vocab)})
@@ -178,15 +237,19 @@ def _fill(path, triplets, pidx, n_rows, vocab):
     sorted_key = key[order]
     repeated = np.zeros(key.size, dtype=bool)
     repeated[order[1:]] = sorted_key[1:] == sorted_key[:-1]
-    bad = ~known | repeated
+    faults = list(_value_faults(kind, values))
+    bad = ~known | repeated | np.logical_or.reduce([mask for mask, _ in faults])
     if bad.any():
         i = int(np.argmax(bad))
         if rows[i] < 0:
             raise IngestionError(f"{path}:{i + 2}: unknown patient id {pids[i]!r}")
         if cols[i] < 0:
             raise IngestionError(f"{path}:{i + 2}: item {items[i]!r} not in vocabulary")
-        raise IngestionError(f"{path}:{i + 2}: duplicate triplet for {(pids[i], items[i])}")
-    out = np.zeros((n_rows, len(vocab)))
+        if repeated[i]:
+            raise IngestionError(f"{path}:{i + 2}: duplicate triplet for {(pids[i], items[i])}")
+        what = next(what for mask, what in faults if mask[i])
+        raise IngestionError(f"{path}:{i + 2}: {what} {float(values[i])!r} in a {kind} matrix")
+    out = np.zeros((n_rows, len(vocab)), dtype=_value_dtype(kind))
     out[rows, cols] = values
     return out
 
@@ -219,25 +282,21 @@ def load_observations(manifest_path):
         raise IngestionError(f"{manifest_path}: malformed manifest "
                              f"({type(exc).__name__}: {exc})") from exc
 
-    raw = {}
-    patient_set = set()
-    for name, (kind, path, vocab_path) in files.items():
-        vocab = _read_vocab(vocab_path)
-        triplets = _read_triplets(path)
-        raw[name] = (kind, vocab, triplets, path)
-        patient_set.update(triplets[0])
+    raw = {name: (kind, _read_vocab(vocab_path), _read_triplets(path), path)
+           for name, (kind, path, vocab_path) in files.items()}
 
-    # union of patients across modalities, zero-filled where absent
-    shared_ids = patients or sorted(patient_set)
+    # without a patients list, the union of patients across modalities,
+    # zero-filled where absent
+    shared_ids = patients or sorted(set(itertools.chain.from_iterable(
+        triplets[0] for _, _, triplets, _ in raw.values())))
     pidx = {p: i for i, p in enumerate(shared_ids)}
 
     observations = {}
-    for name, (kind, vocab, triplets, path) in raw.items():
-        values = _fill(path, triplets, pidx, len(shared_ids), vocab)
-        try:
-            observations[name] = ObservationMatrix(name, list(shared_ids), vocab, kind, values)
-        except IngestionError as exc:
-            raise IngestionError(f"{path}: {exc}") from exc
+    for name in files:
+        kind, vocab, triplets, path = raw.pop(name)
+        values = _fill(path, triplets, pidx, len(shared_ids), vocab, kind)
+        del triplets  # freed before the matrix is checked and the next one filled
+        observations[name] = ObservationMatrix(name, list(shared_ids), vocab, kind, values)
 
     # a cohort that cannot be aligned or fitted, checked last so that input
     # failing an earlier check keeps its message
@@ -373,8 +432,7 @@ def write_correspondence(path, row, k):
 def binarize(obs):
     """Quantize to presence/absence: entry 1 iff source entry > 0. Idempotent."""
     kind = ObservationKind(obs.kind.distribution, BINARY)
-    return ObservationMatrix(obs.modality, obs.shared_ids, obs.item_ids, kind,
-                             (obs.values > 0).astype(float))
+    return ObservationMatrix(obs.modality, obs.shared_ids, obs.item_ids, kind, obs.values > 0)
 
 
 def load_labels(path, shared_ids):
@@ -509,7 +567,7 @@ def synth_generate(model_spec, modality_sizes, datatypes, n_patients,
                 if dtype == INTEGER:
                     values = rng.poisson(vhat).astype(float)
                 else:
-                    values = (rng.uniform(size=vhat.shape) < -np.expm1(-vhat)).astype(float)
+                    values = rng.uniform(size=vhat.shape) < -np.expm1(-vhat)
             else:
                 params = GaussianParams(tensor.sigma2, multiplicity(blocks, k))
                 if dtype == REAL:
@@ -517,7 +575,7 @@ def synth_generate(model_spec, modality_sizes, datatypes, n_patients,
                     values = np.maximum(0.0, vhat + std * rng.standard_normal(vhat.shape))
                 else:
                     p = gaussian_binary_prob(vhat, params)
-                    values = (rng.uniform(size=vhat.shape) < p).astype(float)
+                    values = rng.uniform(size=vhat.shape) < p
             item_ids = [f"{name}_{j}" for j in range(vhat.shape[1])]
             observations[name] = ObservationMatrix(name, shared_ids, item_ids, kind, values)
 

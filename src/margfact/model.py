@@ -203,8 +203,10 @@ CellOrders = namedtuple("CellOrders", "by_row by_col")
 
 
 def _order(V, X_row, Y_row):
-    """V's cells (X_row, Y_row), X_row sorted, as a Selection whose runs are V's rows."""
-    return Selection(X_row, Y_row, V[X_row, Y_row], _run_pointers(X_row, V.shape[0]))
+    """V's cells (X_row, Y_row), X_row sorted, as a Selection whose runs are
+    V's rows; the values are float64 whatever V's dtype."""
+    return Selection(X_row, Y_row, np.asarray(V[X_row, Y_row], dtype=float),
+                     _run_pointers(X_row, V.shape[0]))
 
 
 def _cells(V):
@@ -252,17 +254,20 @@ class Term:
 
     The methods take the shared rows S and the model's factor dict, so a
     term never holds factor values. `cells` is the CellOrders of a sparse
-    Poisson term's observed cells and None for a dense one.
+    Poisson term's observed cells and None for a dense one. V is the
+    observations as stored (bool for a binary kind) in a sparse term, which
+    reads them only to build its cells, and as float64, converted once, in a
+    dense one, whose kernels read every cell.
     """
 
     def __init__(self, tensor, k, obs, t_n):
         self.tensor, self.k, self.name = tensor, k, tensor.modalities[k]
-        self.V = obs.values
         self.kind = lk.tensor_kind(tensor, self.name, obs.kind.datatype)
         self.params = (lk.GaussianParams(tensor.sigma2, t_n)
                        if tensor.distribution == lk.GAUSSIAN else None)
         sparse = (tensor.distribution == lk.POISSON
-                  and np.count_nonzero(self.V) < SPARSE_DENSITY * self.V.size)
+                  and np.count_nonzero(obs.values) < SPARSE_DENSITY * obs.values.size)
+        self.V = obs.values if sparse else np.asarray(obs.values, dtype=float)
         self.cells = _cells(self.V) if sparse else None
 
     def blocks(self, factors):

@@ -1,7 +1,9 @@
+import csv
 import math
 import os
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +15,9 @@ from margfact import (ConfigurationError, GaussianParams, IngestionError,
                       binarize, load_observations, save_observations, split_train_test,
                       synth_generate)
 from margfact.analysis import CorrespondenceRow
-from margfact.data_io import (load_labels, read_annotations, read_factor_csv, read_json,
-                              stratified_split, write_correspondence, write_factor_csv,
-                              write_json)
+from margfact.data_io import (_read_triplets, _split_triplets, _take_patients, load_labels,
+                              read_annotations, read_factor_csv, read_json, stratified_split,
+                              write_correspondence, write_factor_csv, write_json)
 from margfact.likelihoods import gaussian_binary_prob
 
 from helpers import make_obs, planted_marginal, write_labels
@@ -110,12 +112,15 @@ class TestLoadSave:
         (d / "manifest.json").write_text(
             '{"modalities": [{"name": "A", "path": "A.csv", "kind": "%s",'
             ' "vocab_path": "A.vocab.txt"}]}' % kind)
-        with pytest.raises(IngestionError, match=r"A\.csv: A: non-finite"):
+        with pytest.raises(IngestionError, match=re.escape(
+                f"A.csv:3: non-finite value {float(value)!r} in a {kind} matrix")):
             load_observations(d / "manifest.json")
 
     @pytest.mark.parametrize("kind,line,message", [
-        ("poisson-integer", "p0,x,-1", "A.csv: A: negative value present"),
-        ("poisson-integer", "p0,x,1.5", "A.csv: A: non-integer value in integer-kind matrix"),
+        ("poisson-integer", "p0,x,-1", "A.csv:2: negative value -1.0 in a poisson-integer matrix"),
+        ("poisson-integer", "p0,x,1.5",
+         "A.csv:2: non-integer value 1.5 in a poisson-integer matrix"),
+        ("poisson-binary", "p0,x,2", "A.csv:2: non-binary value 2.0 in a poisson-binary matrix"),
         ("poisson-integer", "p0,x", "A.csv:2: expected 3 fields, got 2"),
         ("gaussian-real", "p0,x,abc", "A.csv:2: bad value 'abc'")])
     def test_bad_triplet_refused(self, tmp_path, kind, line, message):
@@ -556,3 +561,170 @@ class TestSynthGenerate:
         with pytest.raises(ConfigurationError):
             synth_generate(simple_spec(), sizes, {"A": "integer", "B": "integer"}, n_patients,
                            sparsity=sparsity, scale=scale)
+
+
+FOUR_KINDS = {"A": ("poisson", "integer"), "B": ("poisson", "binary"),
+              "R": ("gaussian", "real"), "E": ("gaussian", "binary")}
+
+
+def stored_dtype(datatype):
+    return np.dtype(bool) if datatype == "binary" else np.dtype(float)
+
+
+def assert_stored_dtypes(observations):
+    for name, obs in observations.items():
+        assert obs.values.dtype == stored_dtype(FOUR_KINDS[name][1]), name
+
+
+def four_kind_obs(n=8, seed=0):
+    rng = np.random.default_rng(seed)
+    values = {"A": rng.poisson(1.0, (n, 3)), "B": rng.uniform(size=(n, 4)) < 0.3,
+              "R": rng.uniform(0, 2, (n, 2)), "E": rng.uniform(size=(n, 3)) < 0.5}
+    return {name: make_obs(name, values[name], *FOUR_KINDS[name]) for name in FOUR_KINDS}
+
+
+class TestStoredDtype:
+    """A binary kind is stored as bool and every other kind as float64, from
+    every constructor, with the same values."""
+
+    @pytest.mark.parametrize("name", sorted(FOUR_KINDS))
+    @pytest.mark.parametrize("given", [float, bool])
+    def test_observation_matrix(self, name, given):
+        values = np.array([[0, 1], [1, 0]], dtype=given)
+        obs = ObservationMatrix(name, ["p0", "p1"], ["x", "y"],
+                                ObservationKind(*FOUR_KINDS[name]), values)
+        assert obs.values.dtype == stored_dtype(FOUR_KINDS[name][1])
+        np.testing.assert_array_equal(obs.values, values)
+        if given is bool and FOUR_KINDS[name][1] == "binary":
+            assert obs.values is values  # valid by construction: kept, not copied
+
+    @pytest.mark.parametrize("distribution", ["poisson", "gaussian"])
+    @pytest.mark.parametrize("bad", [2.0, 0.5, -1.0, np.nan])
+    def test_float_given_for_binary_kind_is_still_checked(self, distribution, bad):
+        with pytest.raises(IngestionError, match=f"B: .* in a {distribution}-binary matrix"):
+            make_obs("B", np.array([[0.0, bad]]), distribution, "binary")
+
+    def test_load_observations(self, tmp_path):
+        observations = four_kind_obs()
+        loaded = load_observations(save_observations(observations, tmp_path))
+        assert_stored_dtypes(loaded)
+        for name, obs in observations.items():
+            np.testing.assert_array_equal(loaded[name].values, obs.values)
+
+    def test_synth_generate(self):
+        spec = ModelSpec(rank=2, tensors=[InteractionTensorSpec("p", ["B", "A"], "poisson"),
+                                          InteractionTensorSpec("g", ["E", "R"], "gaussian",
+                                                                0.5)])
+        observations, _ = synth_generate(spec, {"A": 3, "B": 4, "R": 2, "E": 3},
+                                         {name: kind[1] for name, kind in FOUR_KINDS.items()},
+                                         n_patients=20, seed=1)
+        assert_stored_dtypes(observations)
+
+    def test_take_patients_and_split(self):
+        observations = four_kind_obs(n=10)
+        assert_stored_dtypes(_take_patients(observations, [3, 1, 4]))
+        for side in split_train_test(observations, seed=2):
+            assert_stored_dtypes(side)
+
+    @pytest.mark.parametrize("name", sorted(FOUR_KINDS))
+    def test_binarize(self, name):
+        obs = four_kind_obs()[name]
+        assert binarize(obs).values.dtype == np.dtype(bool)
+        np.testing.assert_array_equal(binarize(obs).values, obs.values > 0)
+
+    def test_binary_load_allocates_under_a_float64_matrix(self, tmp_path):
+        """Loading a 2,000 x 1,000 binary modality at 2% density peaks below 6
+        bytes a cell; a float64 matrix alone would take 8."""
+        rng = np.random.default_rng(0)
+        values = rng.uniform(size=(2000, 1000)) < 0.02
+        obs = ObservationMatrix("B", [f"p{i}" for i in range(2000)],
+                                [f"B_{j}" for j in range(1000)],
+                                ObservationKind("poisson", "binary"), values)
+        manifest = save_observations({"B": obs}, tmp_path)
+        tracemalloc.start()
+        try:
+            loaded = load_observations(manifest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(loaded["B"].values, values)
+        assert peak < 6 * values.size
+
+
+def reference_triplets(path):
+    """Triplet columns by csv.reader, one row at a time: the reading the one-pass
+    split must reproduce, error for error."""
+    pids, items, values = [], [], []
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != ["patient_id", "item_id", "value"]:
+            raise IngestionError(f"{path}:1: expected header patient_id,item_id,value")
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != 3:
+                raise IngestionError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+            try:
+                value = float(row[2])
+            except ValueError as exc:
+                raise IngestionError(f"{path}:{lineno}: bad value {row[2]!r}") from exc
+            pids.append(row[0])
+            items.append(row[1])
+            values.append(value)
+    return pids, items, np.array(values, dtype=float)
+
+
+NUMBERS = st.sampled_from(["1", "0", "2.5", "-1", "nan", " 3", "1e3"])
+FIELDS = st.one_of(NUMBERS, NUMBERS, st.text('ab ,"', max_size=4))  # numbers fill any column
+
+
+@st.composite
+def triplet_texts(draw):
+    """Triplet files: ids with commas, quotes and spaces, written raw or
+    quoted; LF or CRLF endings; blank lines; lines of 2-4 fields; sometimes a
+    wrong header or no final line break. Half are plain text (no quote, no
+    carriage return), the text the one-pass split reads."""
+    plain = draw(st.booleans())
+    fields = FIELDS.map(lambda f: f.replace('"', "")) if plain else FIELDS
+    header = draw(st.sampled_from(["patient_id,item_id,value"] * 4
+                                  + ["patient_id,item_id", '"patient_id",item_id,value']))
+    lines = [header.replace('"', "") if plain else header]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+            continue
+        count = draw(st.sampled_from([3, 3, 3, 2, 4]))
+        row = draw(st.lists(fields, min_size=count, max_size=count))
+        quote = not plain and draw(st.booleans())
+        lines.append(",".join('"' + f.replace('"', '""') + '"' if quote else f for f in row))
+    end = "\n" if plain else draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def read_outcome(read, path):
+    try:
+        pids, items, values = read(path)
+    except IngestionError as exc:
+        return str(exc)
+    return pids, items, values.tobytes()  # bit for bit, NaN included
+
+
+class TestTripletParse:
+    @settings(max_examples=300, deadline=None)
+    @given(triplet_texts())
+    def test_split_parse_reads_as_csv_reader(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "A.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            assert read_outcome(_read_triplets, path) == read_outcome(reference_triplets, path)
+
+    @pytest.mark.parametrize("body,lines", [
+        ("", 0), ("p0,x,1\n", 1), ("p0,x,1", 1), ("p0,x,1\np1,y,0\n", 2)])
+    def test_plain_text_takes_the_split(self, body, lines):
+        pids, items, values = _split_triplets(body)
+        assert len(pids) == len(items) == values.size == lines
+
+    @pytest.mark.parametrize("body", [
+        "p0,x\n3,y,1,2\n",  # 3 x lines fields, but not three to each line
+        "p0,x,1\n\n", "p0,x,abc\n", "\n"])
+    def test_split_declines_what_csv_reader_must_read(self, body):
+        assert _split_triplets(body) is None

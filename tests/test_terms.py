@@ -11,6 +11,7 @@ vhat < EPS. The sparse kernels work a block of whole rows (or columns) at a
 time; any block size gives the same bits.
 """
 
+import copy
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 
 import margfact.model as mmodel
 from margfact import (InteractionTensorSpec, ModelSpec, RegularizerConfig, SolverConfig,
-                      build_model)
+                      build_model, synth_generate)
 from margfact.likelihoods import BINARY, EPS
 from margfact.model import SHARED, Term
 from margfact.tensor import reconstruct_marginal
@@ -218,3 +219,42 @@ def test_shared_gradient_memory_is_bounded_by_the_block(monkeypatch):
     bound = 3 * model.shared.nbytes + 16 * block * rank * 8
     assert bound < np.count_nonzero(V) * rank * 8 / 2
     assert peak < bound
+
+
+FOUR_KIND_MODELS = {
+    "2-way": [("p", ["B", "A"], "poisson", None), ("g", ["E", "R"], "gaussian", 0.5)],
+    "3-way": [("p", ["B", "A", "C"], "poisson", None), ("g", ["E", "R", "B"], "gaussian", 0.5)],
+}
+DATATYPES = {"A": "integer", "B": "binary", "C": "integer", "E": "binary", "R": "real"}
+
+
+@pytest.mark.parametrize("density", [1.01, 0.0], ids=["sparse", "dense"])
+@pytest.mark.parametrize("shape", sorted(FOUR_KIND_MODELS))
+def test_bool_observations_give_the_float64_outputs_bit_for_bit(shape, density, monkeypatch):
+    """A model over bool binary observations and the same model over float64
+    copies (assigned past ObservationMatrix's cast) give the same objective,
+    block gradients and projection, bit for bit, over all four kinds."""
+    monkeypatch.setattr(mmodel, "SPARSE_DENSITY", density)
+    spec = ModelSpec(rank=3, tensors=[InteractionTensorSpec(*t) for t in FOUR_KIND_MODELS[shape]],
+                     regularizer=RegularizerConfig(gamma=1e-3, beta=0.5), init_seed=2,
+                     solver=SolverConfig(max_sweeps=20))
+    names = spec.modality_order
+    observations, _ = synth_generate(spec, dict.fromkeys(names, 5),
+                                     {name: DATATYPES[name] for name in names},
+                                     n_patients=N_PATIENTS, seed=4)
+    assert {obs.values.dtype.name for obs in observations.values()} == {"bool", "float64"}
+    compact = build_model(spec, observations)
+    widened = {name: copy.copy(obs) for name, obs in observations.items()}
+    for obs in widened.values():
+        obs.values = obs.values.astype(float)
+    wide = mmodel.Model(spec, widened, compact.shared, compact.factors)
+    poisson_cells = {t.cells is None for t in compact.compiled_terms() if t.params is None}
+    assert poisson_cells == {density == 0.0}
+
+    def outputs(model):
+        return [mmodel.objective(model),
+                *(mmodel.gradient_block(model, block) for block in [SHARED, *names]),
+                mmodel.project_patients(model, model.observations)]
+
+    for got, want in zip(outputs(compact), outputs(wide), strict=True):
+        assert np.array_equal(got, want)

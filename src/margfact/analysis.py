@@ -52,10 +52,10 @@ def extract_correspondence(model, tensor_id, anchor_modality, anchor_item,
     """Population-accumulated correspondence of target items to one anchor item.
 
     Accumulates the reconstructed interaction tensor over the patient
-    dimension of the base population (by default: patients with the
-    anchor item present in the observed matrix), extracts the anchor's
-    row, and l1-normalizes it. tensor_id None picks the first tensor that
-    lists both modalities (find_tensor).
+    dimension of the base population (distinct patient indices; by default
+    the patients with the anchor item present in the observed matrix),
+    extracts the anchor's row, and l1-normalizes it. tensor_id None picks
+    the first tensor that lists both modalities (find_tensor).
     """
     if target_modality == anchor_modality:
         raise ConfigurationError(f"target modality {target_modality!r} is the anchor's own")
@@ -69,12 +69,13 @@ def extract_correspondence(model, tensor_id, anchor_modality, anchor_item,
     if population is None:
         population = np.flatnonzero(obs_a.values[:, j] > 0)
     else:
-        given = np.asarray(population, dtype=float)  # an int cast would truncate 1.7 to 1
+        given = np.asarray(population)
         n = model.shared.shape[0]
-        if (given.ndim != 1 or np.any((given < 0) | (given >= n) | (given != np.floor(given)))
+        if (given.dtype.kind not in "iuf" or given.ndim != 1  # a bool mask or ids are not indices
+                or np.any((given < 0) | (given >= n) | (given != np.floor(given)))
                 or np.unique(given).size != given.size):
             raise ConfigurationError(f"population must list distinct patient indices "
-                                     f"in [0, {n}), got {np.asarray(population).tolist()}")
+                                     f"in [0, {n}), got {given.tolist()}")
         population = given.astype(int)
     if population.size == 0:
         raise ConfigurationError(f"empty base population for anchor "

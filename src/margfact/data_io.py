@@ -109,9 +109,11 @@ class ObservationMatrix:
         if values.shape != (len(self.shared_ids), len(self.item_ids)):
             raise IngestionError(f"{self.modality}: value shape {values.shape} does not match "
                                  f"ids ({len(self.shared_ids)}, {len(self.item_ids)})")
-        if not (values.dtype == bool and self.kind.datatype == BINARY):  # else valid as it is
-            values = np.asarray(values, dtype=float)
-            _check_values(self.modality, self.kind, values)
+        flat = values.ravel(order="K")  # a view unless values has gaps
+        nonzero = flat[np.flatnonzero(flat)].astype(float)  # a zero breaks no rule
+        for mask, what in _value_faults(self.kind, nonzero):
+            if mask.any():
+                raise IngestionError(f"{self.modality}: {what} in a {self.kind} matrix")
         self.values = values.astype(_value_dtype(self.kind), copy=False)
 
     @property
@@ -128,12 +130,6 @@ def _value_faults(kind, values):
         yield values != np.round(values), "non-integer value"
     if kind.datatype == BINARY:
         yield (values != 0) & (values != 1), "non-binary value"
-
-
-def _check_values(modality, kind, values):
-    for mask, what in _value_faults(kind, values):
-        if mask.any():
-            raise IngestionError(f"{modality}: {what} in a {kind} matrix")
 
 
 def _note_line(first_line, key, path, lineno, what):

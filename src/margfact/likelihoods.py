@@ -153,12 +153,6 @@ def poisson_weight(datatype, V, Vhat):
     return V / _clamp_prob(-np.expm1(-_floor(Vhat)))
 
 
-def nll_gaussian_real_cells(V, Vhat, params):
-    ts2 = params.t_n * params.sigma2
-    d = V - Vhat
-    return 0.5 * (math.log(2.0 * math.pi * ts2) + d * d / ts2)
-
-
 def _gaussian_scale(params):
     """sigma sqrt(2 t_n): a Gaussian-binary cell's erf argument is vhat over it."""
     return math.sqrt(2.0 * params.t_n) * math.sqrt(params.sigma2)
@@ -194,17 +188,6 @@ def _gaussian_binary_erfc(Vb, Vhat, params):
     return y, erfc_y, tail
 
 
-def nll_gaussian_binary_cells(Vb, Vhat, params):
-    """-log(erfc(y) / 2); in the tail, y^2 + log(2 sqrt(pi) y / s(y))."""
-    y, erfc_y, tail = _gaussian_binary_erfc(Vb, Vhat, params)
-    out = -np.log(0.5 * erfc_y)
-    if tail.any():
-        yt = np.where(tail, y, ERFC_ASYMPTOTIC)
-        tail_nll = yt * yt + np.log(2.0 * math.sqrt(math.pi) * yt / _erfc_series(yt))
-        out = np.where(tail, tail_nll, out)
-    return out
-
-
 def nll_cells(kind, V, Vhat, params=None):
     """Elementwise NLL contributions for any observation kind."""
     V = np.asarray(V, dtype=float)
@@ -213,8 +196,17 @@ def nll_cells(kind, V, Vhat, params=None):
         mean = Vhat if kind.datatype == INTEGER else _floor(Vhat)
         return mean - poisson_log_term(kind.datatype, V, Vhat)
     if kind.datatype == REAL:
-        return nll_gaussian_real_cells(V, Vhat, params)
-    return nll_gaussian_binary_cells(V, Vhat, params)
+        ts2 = params.t_n * params.sigma2
+        d = V - Vhat
+        return 0.5 * (math.log(2.0 * math.pi * ts2) + d * d / ts2)
+    # -log(erfc(y) / 2); in the tail, y^2 + log(2 sqrt(pi) y / s(y))
+    y, erfc_y, tail = _gaussian_binary_erfc(V, Vhat, params)
+    out = -np.log(0.5 * erfc_y)
+    if tail.any():
+        yt = np.where(tail, y, ERFC_ASYMPTOTIC)
+        tail_nll = yt * yt + np.log(2.0 * math.sqrt(math.pi) * yt / _erfc_series(yt))
+        out = np.where(tail, tail_nll, out)
+    return out
 
 
 def nll(kind, V, Vhat, params=None):

@@ -393,12 +393,12 @@ def objective(model, block=None, parts=None):
     compiled_terms() order, then gamma and beta times the sums of each
     modality's unweighted elastic-net and angular penalties, in factor
     order. Given a parts dict, objective stores every part it computes
-    there. Given a block as well, it computes only the parts that block
-    touches and reads the others from parts, which must hold them for a
-    model that differs from this one in that block alone: the shared block
-    touches every term and no penalty (it is never regularized), a
-    modality the terms of the tensors that list it and its own two
-    penalties. Every form returns the same float.
+    there. Given a block as well, it computes the parts that block touches
+    and the parts the dict lacks, and reads the others from parts, which
+    must hold them for a model that differs from this one in that block
+    alone: the shared block touches every term and no penalty (it is never
+    regularized), a modality the terms of the tensors that list it and its
+    own two penalties. Every form returns the same float.
     """
     if block not in (None, SHARED) and block not in model.factors:
         raise ConfigurationError(f"unknown block {block!r}")
@@ -406,10 +406,10 @@ def objective(model, block=None, parts=None):
     cfg = model.spec.regularizer
     terms = model.compiled_terms()
     for i, term in enumerate(terms):
-        if block in (None, SHARED) or block in term.tensor.modalities:
+        if block in (None, SHARED) or block in term.tensor.modalities or i not in parts:
             parts[i] = term.nll(model.shared, model.factors)
     for name, U in model.factors.items():
-        if block in (None, name):
+        if block in (None, name) or ("elastic_net", name) not in parts:
             parts["elastic_net", name] = elastic_net_sum(U, cfg)
             parts["angular", name] = angular_sum(U, cfg, name)
     total = 0.0

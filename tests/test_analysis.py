@@ -88,7 +88,9 @@ class TestExtractCorrespondence:
         with pytest.raises(ConfigurationError, match=message):
             extract_correspondence(poisson_pair_model(), None, anchor, item, target)
 
-    @pytest.mark.parametrize("population", [[-1], [3], [0, 0, 0], [[0, 1]], [1.7]])
+    # a bool mask must not read as the indices 0 and 1, nor patient ids fail to parse
+    @pytest.mark.parametrize("population", [[-1], [3], [0, 0, 0], [[0, 1]], [1.7],
+                                            np.array([False, True]), ["p0", "p1"]])
     def test_population_must_list_distinct_patients(self, population):
         model = poisson_pair_model(n_patients=3)
         with pytest.raises(ConfigurationError,

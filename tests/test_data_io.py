@@ -221,6 +221,12 @@ class TestQuotedIds:
         write_factor_csv(tmp_path / "f.csv", ["p0"], [[0.1, 2.0]])
         assert (tmp_path / "f.csv").read_text() == "entity_id,f1,f2\np0,0.10000000000000001,2\n"
 
+    def test_factor_csv_needs_an_id_a_row(self, tmp_path):
+        with pytest.raises(ConfigurationError,
+                           match="entity id count does not match factor rows"):
+            write_factor_csv(tmp_path / "f.csv", ["p0"], np.ones((2, 3)))
+        assert not (tmp_path / "f.csv").exists()
+
 
 class TestNames:
     def test_item_ids_keep_their_whitespace(self, tmp_path):
@@ -379,6 +385,31 @@ class TestObservationMatrix:
     def test_finite_values_accepted(self):
         values = np.array([[0.0, 1e300], [2.5, 0.0]])
         assert make_obs("Lab", values, "gaussian", "real").values[0, 1] == 1e300
+
+    def test_shape_must_match_the_ids(self):
+        with pytest.raises(IngestionError,
+                           match=re.escape("Lab: value shape (2, 2) does not match ids (1, 2)")):
+            ObservationMatrix("Lab", ["p0"], ["x", "y"], ObservationKind("gaussian", "real"),
+                              np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("kind,given", [(("poisson", "integer"), float),
+                                            (("gaussian", "real"), float),
+                                            (("poisson", "binary"), bool)])
+    def test_check_allocates_for_the_nonzero_cells_only(self, kind, given):
+        """Making a matrix from a 2,000 x 1,000 array at 2% nonzero peaks at no
+        more than a byte a cell: only its nonzero cells are checked."""
+        rng = np.random.default_rng(0)
+        present = rng.uniform(size=(2000, 1000)) < 0.02
+        values = (present * rng.integers(1, 4, size=present.shape)).astype(given)
+        tracemalloc.start()
+        try:
+            obs = ObservationMatrix("A", [f"p{i}" for i in range(2000)],
+                                    [f"A_{j}" for j in range(1000)], ObservationKind(*kind), values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert obs.values is values
+        assert peak <= values.size
 
 
 class TestBinarize:

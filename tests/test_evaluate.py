@@ -7,7 +7,8 @@ import pytest
 from margfact import (ConfigurationError, InteractionTensorSpec, ModelSpec, NumericError,
                       RegularizerConfig, SolverConfig, auprc, evaluate, five_fold_cv,
                       lasso_logistic_fit, reconstruct_marginal)
-from margfact.evaluate import _logistic_loss, _stratified_folds, cv_fold, predict_scores
+from margfact.evaluate import (LAMBDA_GRID, _logistic_loss, _select_lambda, _stratified_folds,
+                               cv_fold, predict_scores)
 
 from helpers import make_obs
 
@@ -138,6 +139,17 @@ class TestAuprc:
     def test_single_class_errors(self):
         with pytest.raises(ValueError):
             auprc(np.array([0.1, 0.2]), np.array([1, 1]))
+
+
+def test_select_lambda_falls_back_without_both_classes_on_each_side(monkeypatch):
+    # one positive goes to the validation side, leaving the fit side one class,
+    # as in a training fold of five_fold_cv(n_folds=2) with two positive patients
+    def fail(*args):
+        raise AssertionError("no lasso fit is scored without both classes")
+
+    monkeypatch.setattr(evaluate, "lasso_logistic_fit", fail)
+    X = np.random.default_rng(0).uniform(size=(6, 3))
+    assert _select_lambda(X, np.array([0, 0, 1, 0, 0, 0]), seed=0) == LAMBDA_GRID[0]
 
 
 def cv_setup(seed=0, n=120, rank=3, per_block=8):

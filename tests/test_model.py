@@ -153,6 +153,15 @@ class TestObjective:
         assert objective(both) == pytest.approx(objective(only_ab) + objective(only_cd),
                                                 rel=1e-12)
 
+    def test_every_form_returns_the_same_float(self):
+        model = small_mixed_model()
+        whole = objective(model)
+        for block in [SHARED, *model.factors]:
+            assert objective(model, block) == whole  # no parts dict: every part computed
+            parts = {}
+            assert objective(model, block, parts) == whole
+            assert objective(model, block, parts) == whole  # read back from the full dict
+
 
     def test_gaussian_multiplicity_matches_monte_carlo(self):
         # each marginal entry sums prod_{k != n} I_k hidden cells, each with

@@ -121,6 +121,11 @@ class TestReconstructMarginal:
         with pytest.raises(ConfigurationError):
             reconstruct_marginal(np.ones((2, 2)), [np.ones((3, 1))], 0)
 
+    @pytest.mark.parametrize("target", [-1, 2])
+    def test_target_out_of_range(self, target):
+        with pytest.raises(ConfigurationError, match=f"target index {target} out of range"):
+            reconstruct_marginal(np.ones((2, 1)), [np.ones((3, 1)), np.ones((4, 1))], target)
+
 
 def test_factor_csv_round_trip(tmp_path):
     rng = np.random.default_rng(5)

@@ -21,11 +21,14 @@ thread before numpy loads. Each line is `<output> <sha256>`:
 - three_way: every block gradient, the objective and two correspondence
   rows of a three-modality model (the column-scale product with skips);
 - save_observations: the name and bytes of every file save_observations
-  writes for cv_mixed seed 0 (all four kinds) and cohort10k seed 0.
+  writes for cv_mixed seed 0 (all four kinds) and cohort10k seed 0;
+- load_observations: the ids and values, as float64, of every matrix
+  load_observations reads back from those files.
 """
 
 import dataclasses
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -41,7 +44,7 @@ import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from margfact import (InteractionTensorSpec, ModelSpec, SolverConfig,  # noqa: E402
                       build_model, extract_correspondence, five_fold_cv,
-                      gradient_block, objective, project_patients,
+                      gradient_block, load_observations, objective, project_patients,
                       save_observations, split_train_test, synth_generate, train)
 from margfact.data_io import _take_patients  # noqa: E402
 from margfact.model import SHARED, Model  # noqa: E402
@@ -116,17 +119,21 @@ def three_way():
     return sha(*grads, [objective(model)], *rows)
 
 
-def saved_files():
-    h = hashlib.sha256()
+def saved_and_loaded():
+    files, loaded = hashlib.sha256(), hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         for name in ("cv_mixed", "cohort10k"):
             out = os.path.join(tmp, name)
-            save_observations(workloads.generate(workloads.WORKLOADS[name], 0).observations, out)
+            manifest = save_observations(
+                workloads.generate(workloads.WORKLOADS[name], 0).observations, out)
             for file_name in sorted(os.listdir(out)):
-                h.update(file_name.encode())
+                files.update(file_name.encode())
                 with open(os.path.join(out, file_name), "rb") as fh:
-                    h.update(fh.read())
-    return h.hexdigest()
+                    files.update(fh.read())
+            for modality, obs in load_observations(manifest).items():
+                loaded.update(json.dumps([modality, obs.shared_ids, obs.item_ids]).encode())
+                loaded.update(np.ascontiguousarray(obs.values, dtype=float).tobytes())
+    return files.hexdigest(), loaded.hexdigest()
 
 
 if __name__ == "__main__":
@@ -144,4 +151,6 @@ if __name__ == "__main__":
     print(f"cv_mixed.five_fold_cv {cv}")
     print(f"cv_mixed.split_train_test {split}")
     print(f"three_way.gradients_objective_correspondence {three_way()}", flush=True)
-    print(f"save_observations.files {saved_files()}")
+    files, loaded = saved_and_loaded()
+    print(f"save_observations.files {files}")
+    print(f"load_observations.values {loaded}")

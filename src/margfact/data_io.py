@@ -3,7 +3,8 @@
 Observations live on disk as triplet CSVs (patient_id,item_id,value) with
 implicit zeros, referenced from a JSON manifest. In memory they are dense
 patient-by-item arrays with ordered id lists: bool for a binary kind, one
-byte a cell, and float64 for the integer and real kinds. Fitted factors are
+byte a cell, float64 for a real kind, and for an integer kind the narrowest
+unsigned integer that holds the matrix's largest count. Fitted factors are
 CSVs (entity_id,f1,...,fR), and specs, traces and reports are JSON documents.
 
 CSV writers quote an id by the csv rules, only where it holds a comma, a
@@ -90,10 +91,17 @@ def write_json(path, doc, sort_keys=False):
         fh.write("\n")
 
 
-def _value_dtype(kind):
-    """The dtype an ObservationMatrix of kind stores: bool for a binary kind,
-    float64 otherwise (it holds every count exactly up to 2**53)."""
-    return bool if kind.datatype == BINARY else float
+def _value_dtype(kind, values):
+    """The dtype an ObservationMatrix of kind stores, given its checked values
+    (every nonzero one at least): bool for a binary kind, float64 for a real
+    kind and, for an integer kind, the narrowest of uint8 to uint64 that
+    holds the largest count (_value_faults refuses a count above 2**53, so
+    each one is held exactly, as it is by float64)."""
+    if kind.datatype == BINARY:
+        return np.dtype(bool)
+    if kind.datatype == REAL:
+        return np.dtype(float)
+    return np.min_scalar_type(int(values.max(initial=0)))
 
 
 @dataclass
@@ -102,7 +110,7 @@ class ObservationMatrix:
     shared_ids: list
     item_ids: list
     kind: ObservationKind
-    values: np.ndarray  # dense (I_s, I_n), of dtype _value_dtype(kind)
+    values: np.ndarray  # dense (I_s, I_n), of dtype _value_dtype(kind, values)
 
     def __post_init__(self):
         values = np.asarray(self.values)
@@ -114,7 +122,7 @@ class ObservationMatrix:
         for mask, what in _value_faults(self.kind, nonzero):
             if mask.any():
                 raise IngestionError(f"{self.modality}: {what} in a {self.kind} matrix")
-        self.values = values.astype(_value_dtype(self.kind), copy=False)
+        self.values = values.astype(_value_dtype(self.kind, nonzero), copy=False)
 
     @property
     def n_items(self):
@@ -128,6 +136,7 @@ def _value_faults(kind, values):
     yield values < 0, "negative value"
     if kind.datatype == INTEGER:
         yield values != np.round(values), "non-integer value"
+        yield values > 2 ** 53, "count beyond 2**53"  # float64 holds no larger count exactly
     if kind.datatype == BINARY:
         yield (values != 0) & (values != 1), "non-binary value"
 
@@ -219,7 +228,7 @@ def _indices(ids, index):
 
 
 def _fill(path, triplets, pidx, n_rows, vocab, kind):
-    """(n_rows, len(vocab)) array of dtype _value_dtype(kind) holding the
+    """(n_rows, len(vocab)) array of dtype _value_dtype(kind, values) holding the
     triplets' values at (pidx row, vocab column); every patient and item must
     be known, every (patient, item) pair unique and every value one kind
     holds. An error names the line of the first offending triplet in file
@@ -245,7 +254,7 @@ def _fill(path, triplets, pidx, n_rows, vocab, kind):
             raise IngestionError(f"{path}:{i + 2}: duplicate triplet for {(pids[i], items[i])}")
         what = next(what for mask, what in faults if mask[i])
         raise IngestionError(f"{path}:{i + 2}: {what} {float(values[i])!r} in a {kind} matrix")
-    out = np.zeros((n_rows, len(vocab)), dtype=_value_dtype(kind))
+    out = np.zeros((n_rows, len(vocab)), dtype=_value_dtype(kind, values))
     out[rows, cols] = values
     return out
 
@@ -561,7 +570,7 @@ def synth_generate(model_spec, modality_sizes, datatypes, n_patients,
             dtype = kind.datatype
             if tensor.distribution == POISSON:
                 if dtype == INTEGER:
-                    values = rng.poisson(vhat).astype(float)
+                    values = rng.poisson(vhat)
                 else:
                     values = rng.uniform(size=vhat.shape) < -np.expm1(-vhat)
             else:

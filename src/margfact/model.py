@@ -255,20 +255,28 @@ class Term:
     The methods take the shared rows S and the model's factor dict, so a
     term never holds factor values. `cells` is the CellOrders of a sparse
     Poisson term's observed cells and None for a dense one. V is the
-    observations as stored (bool for a binary kind) in a sparse term, which
-    reads them only to build its cells, and as float64, converted once, in a
-    dense one, whose kernels read every cell.
+    observations as stored (bool or an unsigned integer for the binary and
+    integer kinds) in a sparse term, which reads them only to build its
+    cells, and as float64 in a dense one, whose kernels read every cell.
+    `wide`, a dict the terms of one model share, maps each modality to that
+    float64 copy, so a modality is converted once however many dense terms
+    read it.
     """
 
-    def __init__(self, tensor, k, obs, t_n):
+    def __init__(self, tensor, k, obs, t_n, wide=None):
         self.tensor, self.k, self.name = tensor, k, tensor.modalities[k]
         self.kind = lk.tensor_kind(tensor, self.name, obs.kind.datatype)
         self.params = (lk.GaussianParams(tensor.sigma2, t_n)
                        if tensor.distribution == lk.GAUSSIAN else None)
         sparse = (tensor.distribution == lk.POISSON
                   and np.count_nonzero(obs.values) < SPARSE_DENSITY * obs.values.size)
-        self.V = obs.values if sparse else np.asarray(obs.values, dtype=float)
-        self.cells = _cells(self.V) if sparse else None
+        if sparse:
+            self.V, self.cells = obs.values, _cells(obs.values)
+        else:
+            wide = {} if wide is None else wide
+            if self.name not in wide:
+                wide[self.name] = np.asarray(obs.values, dtype=float)
+            self.V, self.cells = wide[self.name], None
 
     def blocks(self, factors):
         return [factors[m] for m in self.tensor.modalities]
@@ -345,11 +353,13 @@ class Model:
         self._terms = None
 
     def compiled_terms(self):
-        """One Term per (tensor, target modality), built on the first call."""
+        """One Term per (tensor, target modality), built on the first call; the
+        dense terms of one modality read one float64 copy of it."""
         if self._terms is None:
+            wide = {}
             self._terms = [
                 Term(tensor, k, self.observations[name],
-                     multiplicity([self.factors[m] for m in tensor.modalities], k))
+                     multiplicity([self.factors[m] for m in tensor.modalities], k), wide)
                 for tensor in self.spec.tensors for k, name in enumerate(tensor.modalities)]
         return self._terms
 

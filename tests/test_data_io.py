@@ -392,7 +392,7 @@ class TestObservationMatrix:
             ObservationMatrix("Lab", ["p0"], ["x", "y"], ObservationKind("gaussian", "real"),
                               np.zeros((2, 2)))
 
-    @pytest.mark.parametrize("kind,given", [(("poisson", "integer"), float),
+    @pytest.mark.parametrize("kind,given", [(("poisson", "integer"), np.uint8),
                                             (("gaussian", "real"), float),
                                             (("poisson", "binary"), bool)])
     def test_check_allocates_for_the_nonzero_cells_only(self, kind, given):
@@ -599,7 +599,8 @@ FOUR_KINDS = {"A": ("poisson", "integer"), "B": ("poisson", "binary"),
 
 
 def stored_dtype(datatype):
-    return np.dtype(bool) if datatype == "binary" else np.dtype(float)
+    """The dtype of FOUR_KINDS' matrices, whose counts are all below 256."""
+    return np.dtype({"binary": bool, "integer": np.uint8, "real": float}[datatype])
 
 
 def assert_stored_dtypes(observations):
@@ -615,8 +616,9 @@ def four_kind_obs(n=8, seed=0):
 
 
 class TestStoredDtype:
-    """A binary kind is stored as bool and every other kind as float64, from
-    every constructor, with the same values."""
+    """A binary kind is stored as bool, an integer kind as the narrowest
+    unsigned integer that holds its largest count and a real kind as
+    float64, from every constructor, with the same values."""
 
     @pytest.mark.parametrize("name", sorted(FOUR_KINDS))
     @pytest.mark.parametrize("given", [float, bool])
@@ -680,6 +682,70 @@ class TestStoredDtype:
             tracemalloc.stop()
         np.testing.assert_array_equal(loaded["B"].values, values)
         assert peak < 6 * values.size
+
+
+def write_counts(tmp_path, lines):
+    """A manifest of one poisson-integer modality A over items x and y, whose
+    triplet file holds lines after its header."""
+    (tmp_path / "A.csv").write_text("patient_id,item_id,value\n" + "".join(
+        f"{line}\n" for line in lines))
+    (tmp_path / "A.vocab.txt").write_text("x\ny\n")
+    (tmp_path / "manifest.json").write_text(
+        '{"modalities": [{"name": "A", "path": "A.csv", "kind": "poisson-integer",'
+        ' "vocab_path": "A.vocab.txt"}]}')
+    return tmp_path / "manifest.json"
+
+
+class TestCountDtype:
+    """A count is held in the narrowest unsigned integer that holds the
+    matrix's largest count, and a count above 2**53, which float64 cannot
+    hold exactly, is refused."""
+
+    @pytest.mark.parametrize("largest,dtype", [
+        (0, np.uint8), (255, np.uint8), (256, np.uint16), (65_536, np.uint32),
+        (2 ** 32, np.uint64), (2 ** 53, np.uint64)])
+    def test_largest_count_picks_the_dtype(self, tmp_path, largest, dtype):
+        counts = np.array([[0, 1], [largest, 3]], dtype=np.uint64)
+        obs = ObservationMatrix("A", ["p0", "p1"], ["x", "y"],
+                                ObservationKind("poisson", "integer"), counts)
+        assert obs.values.dtype == dtype
+        np.testing.assert_array_equal(obs.values, counts)
+        loaded = load_observations(save_observations({"A": obs}, tmp_path))["A"]
+        assert loaded.values.dtype == dtype
+        assert loaded.values.tolist() == counts.tolist()  # exact, as Python ints
+
+    @pytest.mark.parametrize("text,value", [("9007199254740994", "9007199254740994.0"),
+                                            ("1e300", "1e+300")])
+    def test_triplet_count_beyond_2_to_the_53_refused(self, tmp_path, text, value):
+        manifest = write_counts(tmp_path, ["p0,y,2", f"p1,x,{text}"])
+        with pytest.raises(IngestionError, match=re.escape(
+                f"A.csv:3: count beyond 2**53 {value} in a poisson-integer matrix")):
+            load_observations(manifest)
+
+    def test_matrix_count_beyond_2_to_the_53_refused(self):
+        with pytest.raises(IngestionError,
+                           match=re.escape("A: count beyond 2**53 in a poisson-integer matrix")):
+            make_obs("A", np.array([[0.0, 2.0 ** 60]]), "poisson", "integer")
+
+    def test_count_load_allocates_under_a_float64_matrix(self, tmp_path):
+        """Loading a 2,000 x 1,000 count modality at 2% density, counts 1-255,
+        peaks below 8 bytes a cell, what a float64 matrix alone would take."""
+        rng = np.random.default_rng(0)
+        present = rng.uniform(size=(2000, 1000)) < 0.02
+        values = (present * rng.integers(1, 256, size=present.shape)).astype(np.uint8)
+        obs = ObservationMatrix("A", [f"p{i}" for i in range(2000)],
+                                [f"A_{j}" for j in range(1000)],
+                                ObservationKind("poisson", "integer"), values)
+        manifest = save_observations({"A": obs}, tmp_path)
+        tracemalloc.start()
+        try:
+            loaded = load_observations(manifest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded["A"].values.dtype == np.uint8
+        np.testing.assert_array_equal(loaded["A"].values, values)
+        assert peak < 8 * values.size
 
 
 def reference_triplets(path):

@@ -12,6 +12,7 @@ time; any block size gives the same bits.
 """
 
 import copy
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,7 @@ from margfact import (InteractionTensorSpec, ModelSpec, RegularizerConfig, Solve
                       build_model, synth_generate)
 from margfact.likelihoods import BINARY, EPS
 from margfact.model import SHARED, Term
-from margfact.tensor import reconstruct_marginal
+from margfact.tensor import multiplicity, reconstruct_marginal
 
 from helpers import make_obs
 
@@ -221,19 +222,24 @@ def test_shared_gradient_memory_is_bounded_by_the_block(monkeypatch):
     assert peak < bound
 
 
+#: H's counts are scaled past 255 after they are drawn, so that it is held as uint16
 FOUR_KIND_MODELS = {
-    "2-way": [("p", ["B", "A"], "poisson", None), ("g", ["E", "R"], "gaussian", 0.5)],
-    "3-way": [("p", ["B", "A", "C"], "poisson", None), ("g", ["E", "R", "B"], "gaussian", 0.5)],
+    "2-way": [("p", ["B", "A"], "poisson", None), ("g", ["E", "R"], "gaussian", 0.5),
+              ("h", ["A", "H"], "poisson", None)],
+    "3-way": [("p", ["B", "A", "C"], "poisson", None), ("g", ["E", "R", "B"], "gaussian", 0.5),
+              ("h", ["A", "H"], "poisson", None)],
 }
-DATATYPES = {"A": "integer", "B": "binary", "C": "integer", "E": "binary", "R": "real"}
+DATATYPES = {"A": "integer", "B": "binary", "C": "integer", "E": "binary", "R": "real",
+             "H": "integer"}
 
 
 @pytest.mark.parametrize("density", [1.01, 0.0], ids=["sparse", "dense"])
 @pytest.mark.parametrize("shape", sorted(FOUR_KIND_MODELS))
-def test_bool_observations_give_the_float64_outputs_bit_for_bit(shape, density, monkeypatch):
-    """A model over bool binary observations and the same model over float64
-    copies (assigned past ObservationMatrix's cast) give the same objective,
-    block gradients and projection, bit for bit, over all four kinds."""
+def test_compact_observations_give_the_float64_outputs_bit_for_bit(shape, density, monkeypatch):
+    """A model over compact observations (bool binary kinds, uint8 and uint16
+    counts) and the same model over float64 copies (assigned past
+    ObservationMatrix's cast) give the same objective, block gradients and
+    projection, bit for bit, over all four kinds."""
     monkeypatch.setattr(mmodel, "SPARSE_DENSITY", density)
     spec = ModelSpec(rank=3, tensors=[InteractionTensorSpec(*t) for t in FOUR_KIND_MODELS[shape]],
                      regularizer=RegularizerConfig(gamma=1e-3, beta=0.5), init_seed=2,
@@ -242,7 +248,10 @@ def test_bool_observations_give_the_float64_outputs_bit_for_bit(shape, density, 
     observations, _ = synth_generate(spec, dict.fromkeys(names, 5),
                                      {name: DATATYPES[name] for name in names},
                                      n_patients=N_PATIENTS, seed=4)
-    assert {obs.values.dtype.name for obs in observations.values()} == {"bool", "float64"}
+    observations["H"] = dataclasses.replace(observations["H"],
+                                            values=observations["H"].values * 300.0)
+    assert {obs.values.dtype.name for obs in observations.values()} \
+        == {"bool", "uint8", "uint16", "float64"}
     compact = build_model(spec, observations)
     widened = {name: copy.copy(obs) for name, obs in observations.items()}
     for obs in widened.values():
@@ -258,3 +267,29 @@ def test_bool_observations_give_the_float64_outputs_bit_for_bit(shape, density, 
 
     for got, want in zip(outputs(compact), outputs(wide), strict=True):
         assert np.array_equal(got, want)
+
+
+def test_dense_terms_of_a_modality_share_one_float64_copy(monkeypatch):
+    """A modality two tensors list is converted to float64 once for its dense
+    terms, and the model gives the outputs of terms that each convert it."""
+    monkeypatch.setattr(mmodel, "SPARSE_DENSITY", 0.0)
+    spec = ModelSpec(rank=3, tensors=[InteractionTensorSpec("p", ["A", "B"], "poisson"),
+                                      InteractionTensorSpec("q", ["A", "C"], "poisson")],
+                     regularizer=RegularizerConfig(gamma=1e-3, beta=0.5), init_seed=1)
+    rng = np.random.default_rng(3)
+    observations = {m: make_obs(m, random_cells(rng, (N_PATIENTS, SIZES[m]), KINDS[m]),
+                                "poisson", KINDS[m]) for m in "ABC"}
+    shared = build_model(spec, observations)
+    first, second = (t for t in shared.compiled_terms() if t.name == "A")
+    assert first.V is second.V and first.V.dtype == np.float64
+    assert observations["A"].values.dtype == np.uint8
+
+    apart = mmodel.Model(spec, observations, shared.shared, shared.factors)
+    apart._terms = [Term(t.tensor, t.k, observations[t.name],
+                         multiplicity(t.blocks(shared.factors), t.k))
+                    for t in shared.compiled_terms()]
+    assert apart._terms[0].V is not apart._terms[2].V
+    assert mmodel.objective(shared) == mmodel.objective(apart)
+    for block in [SHARED, "A", "B", "C"]:
+        assert np.array_equal(mmodel.gradient_block(shared, block),
+                              mmodel.gradient_block(apart, block))

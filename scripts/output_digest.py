@@ -23,7 +23,11 @@ thread before numpy loads. Each line is `<output> <sha256>`:
 - save_observations: the name and bytes of every file save_observations
   writes for cv_mixed seed 0 (all four kinds) and cohort10k seed 0;
 - load_observations: the ids and values, as float64, of every matrix
-  load_observations reads back from those files.
+  load_observations reads back from those files;
+- likelihoods: nll_cells and grad_nll_wrt_reconstruction of each kind on a
+  fixed grid: vhat from EPS to 60 (30 included) against counts 0-5 and reals
+  0-5, and, for both binary kinds, labels 0 and 1; the Gaussian-binary grid
+  is y from -30 to 30 with the series switch at 26 under GaussianParams(1, 2).
 """
 
 import dataclasses
@@ -42,11 +46,13 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
-from margfact import (InteractionTensorSpec, ModelSpec, SolverConfig,  # noqa: E402
-                      build_model, extract_correspondence, five_fold_cv,
-                      gradient_block, load_observations, objective, project_patients,
-                      save_observations, split_train_test, synth_generate, train)
+from margfact import (GaussianParams, InteractionTensorSpec, ModelSpec,  # noqa: E402
+                      ObservationKind, SolverConfig, build_model, extract_correspondence,
+                      five_fold_cv, gradient_block, load_observations, objective,
+                      project_patients, save_observations, split_train_test, synth_generate,
+                      train)
 from margfact.data_io import _take_patients  # noqa: E402
+from margfact.likelihoods import EPS, grad_nll_wrt_reconstruction, nll_cells  # noqa: E402
 from margfact.model import SHARED, Model  # noqa: E402
 
 
@@ -136,6 +142,22 @@ def saved_and_loaded():
     return files.hexdigest(), loaded.hexdigest()
 
 
+def likelihood_kernels():
+    vhat = np.concatenate([np.geomspace(EPS, 1.0, 61), np.arange(1.5, 60.5, 0.5)])
+    counts, labels = np.arange(6.0)[:, None], np.array([[0.0], [1.0]])
+    # y = (1 - 2V) vhat / 2 under sigma2 = 1, t_n = 2
+    y = np.concatenate([np.linspace(-30.0, 30.0, 1201), [25.999, 26.0, 26.001, 27.5]])
+    params = GaussianParams(1.0, 2)
+    cases = [("poisson-integer", counts, vhat, None), ("poisson-binary", labels, vhat, None),
+             ("gaussian-real", counts, vhat, params),
+             ("gaussian-binary", labels, (1.0 - 2.0 * labels) * 2.0 * y, params)]
+    outputs = []
+    for token, V, Vhat, p in cases:
+        kind = ObservationKind.parse(token)
+        outputs += [nll_cells(kind, V, Vhat, p), grad_nll_wrt_reconstruction(kind, V, Vhat, p)]
+    return sha(*outputs)
+
+
 if __name__ == "__main__":
     for seed in range(6):
         loss_trace, steps = fit500(seed)
@@ -154,3 +176,4 @@ if __name__ == "__main__":
     files, loaded = saved_and_loaded()
     print(f"save_observations.files {files}")
     print(f"load_observations.values {loaded}")
+    print(f"likelihoods.kernels {likelihood_kernels()}")

@@ -95,8 +95,8 @@ def _value_dtype(kind, values):
     """The dtype an ObservationMatrix of kind stores, given its checked values
     (every nonzero one at least): bool for a binary kind, float64 for a real
     kind and, for an integer kind, the narrowest of uint8 to uint64 that
-    holds the largest count (_value_faults refuses a count above 2**53, so
-    each one is held exactly, as it is by float64)."""
+    holds the largest count (_value_faults refuses a count of 2**53 or more,
+    so each one is held exactly, as it is by float64)."""
     if kind.datatype == BINARY:
         return np.dtype(bool)
     if kind.datatype == REAL:
@@ -118,7 +118,9 @@ class ObservationMatrix:
             raise IngestionError(f"{self.modality}: value shape {values.shape} does not match "
                                  f"ids ({len(self.shared_ids)}, {len(self.item_ids)})")
         flat = values.ravel(order="K")  # a view unless values has gaps
-        nonzero = flat[np.flatnonzero(flat)].astype(float)  # a zero breaks no rule
+        nonzero = flat[np.flatnonzero(flat)]  # a zero breaks no rule
+        if nonzero.dtype.kind not in "biuf":  # bool, integer and float are checked as they are
+            nonzero = nonzero.astype(float)
         for mask, what in _value_faults(self.kind, nonzero):
             if mask.any():
                 raise IngestionError(f"{self.modality}: {what} in a {self.kind} matrix")
@@ -131,12 +133,13 @@ class ObservationMatrix:
 
 def _value_faults(kind, values):
     """(mask, what) for each rule a value of kind must keep, in order, with
-    mask marking the float values that break it."""
+    mask marking the values (bool, integer or float) that break it."""
     yield ~np.isfinite(values), "non-finite value"
     yield values < 0, "negative value"
     if kind.datatype == INTEGER:
         yield values != np.round(values), "non-integer value"
-        yield values > 2 ** 53, "count beyond 2**53"  # float64 holds no larger count exactly
+        # float64 holds each smaller count exactly; a parsed 2**53 may stand for 2**53 + 1
+        yield values >= 2 ** 53, "count of 2**53 or more"
     if kind.datatype == BINARY:
         yield (values != 0) & (values != 1), "non-binary value"
 

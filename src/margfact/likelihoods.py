@@ -3,19 +3,20 @@
 Four observation laws are supported: Poisson counts, Poisson-quantized
 binary, Gaussian reals, and Gaussian-quantized binary. Each kernel is an
 elementwise cell function summed over the matrix, with an analytic
-gradient with respect to the reconstruction. All kernels are guarded so
-they stay finite on the non-negative orthant (projected factors can hit
-exact zero). erf is math.erf cell by cell (within 1 ulp). A Gaussian-binary
-cell's NLL is -log(erfc(y)/2), with y > 0 where the recorded value is the
-unlikely one; erfc(y) comes from erf where y <= 0, from math.erfc above and
-from its asymptotic series in the far tail, so the NLL and its gradient stay
-accurate and consistent for every y.
+gradient with respect to the reconstruction; each law has one formula.
+All kernels stay finite on the non-negative orthant (projected factors can
+hit exact zero).
 
-A Poisson cell NLL is vhat (floored at EPS for the binary kind) minus
-poisson_log_term, and its gradient is 1 - poisson_weight. Both helpers are
-0 where V is 0, so a sparse Poisson term is evaluated on its observed
-(nonzero) cells alone, with sum(vhat) in closed form (model.Term); the
-dense kernels here apply them to every cell.
+A Poisson cell's NLL is vhat minus poisson_log_term, and its gradient is
+1 - poisson_weight. EPS guards only those two helpers, where V > 0 needs a
+log or a ratio, and both are 0 where V is 0, so a sparse Poisson term is
+evaluated on its observed cells alone, with sum(vhat) in closed form
+(model.Term).
+
+A Gaussian-binary cell's NLL is -log(erfc(y)/2), with y > 0 where the
+recorded value is the unlikely one; _gaussian_binary gives it and its
+gradient from one routing of erfc(y): erf where y <= 0, math.erfc above and
+its asymptotic series in the far tail. erf is math.erf cell by cell.
 """
 
 import math
@@ -174,18 +175,26 @@ def _erfc_series(y):
     return s
 
 
-def _gaussian_binary_erfc(Vb, Vhat, params):
-    """(y, erfc(y), tail) per cell, with y = (1 - 2V) vhat / (sigma sqrt(2 t_n)):
-    the cell's probability is erfc(y) / 2. erfc(y) is 1 + erf(-y) where y <= 0
-    and math.erfc(y) up to ERFC_ASYMPTOTIC, one call per cell; on the tail
-    mask, beyond, it reads 1 and the caller uses the series."""
-    y = np.asarray((1.0 - 2.0 * Vb) * Vhat / _gaussian_scale(params))
+def _gaussian_binary(V, Vhat, params):
+    """(NLL, d NLL / d vhat) per Gaussian-binary cell: -log(erfc(y) / 2) and
+    the Mills ratio erf'(y) / erfc(y) times dy/dvhat, with
+    y = (1 - 2V) vhat / (sigma sqrt(2 t_n)). erfc(y) is 1 + erf(-y) where
+    y <= 0 and math.erfc(y) up to ERFC_ASYMPTOTIC, one call per cell; beyond,
+    they are y^2 + log(2 sqrt(pi) y / s(y)) and 2 y / s(y)."""
+    y = np.asarray((1.0 - 2.0 * V) * Vhat / _gaussian_scale(params))
     low, tail = y <= 0.0, y > ERFC_ASYMPTOTIC
     erfc_y = np.ones(y.shape)
     erfc_y[low] = 1.0 + erf(-y[low])
     mid = ~(low | tail)  # NaN included, so that it propagates
     erfc_y[mid] = _per_cell(math.erfc, y[mid])
-    return y, erfc_y, tail
+    cells = -np.log(0.5 * erfc_y)
+    mills = erf_derivative(y) / erfc_y
+    if tail.any():
+        yt = np.where(tail, y, ERFC_ASYMPTOTIC)
+        s = _erfc_series(yt)
+        cells = np.where(tail, yt * yt + np.log(2.0 * math.sqrt(math.pi) * yt / s), cells)
+        mills = np.where(tail, 2.0 * yt / s, mills)
+    return cells, (1.0 - 2.0 * V) / _gaussian_scale(params) * mills
 
 
 def nll_cells(kind, V, Vhat, params=None):
@@ -193,20 +202,12 @@ def nll_cells(kind, V, Vhat, params=None):
     V = np.asarray(V, dtype=float)
     Vhat = np.asarray(Vhat, dtype=float)
     if kind.distribution == POISSON:
-        mean = Vhat if kind.datatype == INTEGER else _floor(Vhat)
-        return mean - poisson_log_term(kind.datatype, V, Vhat)
+        return Vhat - poisson_log_term(kind.datatype, V, Vhat)
     if kind.datatype == REAL:
         ts2 = params.t_n * params.sigma2
         d = V - Vhat
         return 0.5 * (math.log(2.0 * math.pi * ts2) + d * d / ts2)
-    # -log(erfc(y) / 2); in the tail, y^2 + log(2 sqrt(pi) y / s(y))
-    y, erfc_y, tail = _gaussian_binary_erfc(V, Vhat, params)
-    out = -np.log(0.5 * erfc_y)
-    if tail.any():
-        yt = np.where(tail, y, ERFC_ASYMPTOTIC)
-        tail_nll = yt * yt + np.log(2.0 * math.sqrt(math.pi) * yt / _erfc_series(yt))
-        out = np.where(tail, tail_nll, out)
-    return out
+    return _gaussian_binary(V, Vhat, params)[0]
 
 
 def nll(kind, V, Vhat, params=None):
@@ -228,11 +229,4 @@ def grad_nll_wrt_reconstruction(kind, V, Vhat, params=None):
         return 1.0 - poisson_weight(kind.datatype, V, Vhat)
     if kind.datatype == REAL:
         return (Vhat - V) / (params.t_n * params.sigma2)
-    # d/dy of -log(erfc(y) / 2) is the Mills ratio erf'(y) / erfc(y), in the
-    # tail 2 y / s(y)
-    y, erfc_y, tail = _gaussian_binary_erfc(V, Vhat, params)
-    mills = erf_derivative(y) / erfc_y
-    if tail.any():
-        yt = np.where(tail, y, ERFC_ASYMPTOTIC)
-        mills = np.where(tail, 2.0 * yt / _erfc_series(yt), mills)
-    return (1.0 - 2.0 * V) / _gaussian_scale(params) * mills
+    return _gaussian_binary(V, Vhat, params)[1]

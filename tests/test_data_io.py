@@ -698,12 +698,13 @@ def write_counts(tmp_path, lines):
 
 class TestCountDtype:
     """A count is held in the narrowest unsigned integer that holds the
-    matrix's largest count, and a count above 2**53, which float64 cannot
-    hold exactly, is refused."""
+    matrix's largest count, and a count of 2**53 or more is refused: float64
+    holds every smaller count exactly, and a triplet value parsed as 2**53
+    may stand for 2**53 + 1."""
 
     @pytest.mark.parametrize("largest,dtype", [
         (0, np.uint8), (255, np.uint8), (256, np.uint16), (65_536, np.uint32),
-        (2 ** 32, np.uint64), (2 ** 53, np.uint64)])
+        (2 ** 32, np.uint64), (2 ** 53 - 1, np.uint64)])
     def test_largest_count_picks_the_dtype(self, tmp_path, largest, dtype):
         counts = np.array([[0, 1], [largest, 3]], dtype=np.uint64)
         obs = ObservationMatrix("A", ["p0", "p1"], ["x", "y"],
@@ -715,17 +716,22 @@ class TestCountDtype:
         assert loaded.values.tolist() == counts.tolist()  # exact, as Python ints
 
     @pytest.mark.parametrize("text,value", [("9007199254740994", "9007199254740994.0"),
-                                            ("1e300", "1e+300")])
+                                            ("1e300", "1e+300"),
+                                            ("9007199254740992", "9007199254740992.0"),
+                                            ("9007199254740993", "9007199254740992.0")])
     def test_triplet_count_beyond_2_to_the_53_refused(self, tmp_path, text, value):
         manifest = write_counts(tmp_path, ["p0,y,2", f"p1,x,{text}"])
         with pytest.raises(IngestionError, match=re.escape(
-                f"A.csv:3: count beyond 2**53 {value} in a poisson-integer matrix")):
+                f"A.csv:3: count of 2**53 or more {value} in a poisson-integer matrix")):
             load_observations(manifest)
 
     def test_matrix_count_beyond_2_to_the_53_refused(self):
-        with pytest.raises(IngestionError,
-                           match=re.escape("A: count beyond 2**53 in a poisson-integer matrix")):
-            make_obs("A", np.array([[0.0, 2.0 ** 60]]), "poisson", "integer")
+        for counts in (np.array([[0.0, 2.0 ** 60]]), np.array([[0, 2 ** 53]], dtype=np.uint64),
+                       np.array([[0, 2 ** 53 + 1]], dtype=np.uint64)):
+            with pytest.raises(IngestionError, match=re.escape(
+                    "A: count of 2**53 or more in a poisson-integer matrix")):
+                ObservationMatrix("A", ["p0"], ["x", "y"], ObservationKind("poisson", "integer"),
+                                  counts)
 
     def test_count_load_allocates_under_a_float64_matrix(self, tmp_path):
         """Loading a 2,000 x 1,000 count modality at 2% density, counts 1-255,

@@ -22,6 +22,12 @@ def scalar_loop_nll_poisson_integer(V, Vhat):
     return total
 
 
+@pytest.mark.parametrize("kind", [PI, PB], ids=str)
+def test_absent_cell_at_zero_mean_costs_nothing(kind):
+    # P(V = 0) = e^-0 = 1 under both Poisson laws
+    assert nll_cells(kind, np.zeros(1), np.zeros(1))[0] == 0.0
+
+
 class TestPoissonInteger:
     def test_zero_counts_unit_mean(self):
         assert nll(PI, np.zeros((2, 2)), np.ones((2, 2))) == pytest.approx(4.0)
@@ -79,7 +85,7 @@ class TestPoissonBinary:
         log_expm1 = np.where(small, np.log(np.expm1(np.where(small, v, 1.0))),
                              v + np.log1p(-np.exp(-v)))
         p = np.clip(-np.expm1(-v), EPS, 1.0 - EPS)
-        return v - Vb * log_expm1, 1.0 - Vb / p
+        return Vhat - Vb * log_expm1, 1.0 - Vb / p
 
     @pytest.mark.parametrize("density", [0.0, 1.0, 0.02])
     def test_observed_cells_only_equal_dense_bit_for_bit(self, density):
@@ -98,6 +104,14 @@ class TestPoissonBinary:
         np.testing.assert_array_equal(nll_cells(PB, Vb.T, Vhat.T), cells.T)
         np.testing.assert_array_equal(grad_nll_wrt_reconstruction(PB, Vb[::2], Vhat[::2]),
                                       grad[::2])
+
+    def test_absent_cell_nll_is_vhat_below_eps(self):
+        # P(absent) = e^-vhat: the NLL is vhat, so its slope is 1 down to
+        # vhat = 0, the gradient there, as in the sparse terms' sum of vhat
+        vhat = np.array([0.0, 0.25 * EPS, 0.5 * EPS, 0.75 * EPS])
+        V = np.zeros_like(vhat)
+        np.testing.assert_array_equal(nll_cells(PB, V, vhat), vhat)
+        np.testing.assert_array_equal(grad_nll_wrt_reconstruction(PB, V, vhat), 1.0)
 
     def test_probability_monotone(self):
         vhat = np.linspace(0.0, 10.0, 50)

@@ -4,10 +4,9 @@ A Poisson term whose observations are mostly zero is evaluated on its
 observed cells only (model.SPARSE_DENSITY picks which). Each case builds
 the same model twice, once with every Poisson term sparse and once with
 every term dense, and compares the objective, every block gradient and the
-row NLL of row subsets. The one documented difference: the dense
-Poisson-binary kernel floors vhat at EPS on every cell, the closed-form sum
-of vhat does not, so the two differ by less than EPS on each cell with
-vhat < EPS. The sparse kernels work a block of whole rows (or columns) at a
+row NLL of row subsets. Both apply the one formula of each law (an absent
+cell's NLL is vhat, down to vhat = 0), so they differ only by the order of
+summation. The sparse kernels work a block of whole rows (or columns) at a
 time; any block size gives the same bits.
 """
 
@@ -21,9 +20,8 @@ import pytest
 import margfact.model as mmodel
 from margfact import (InteractionTensorSpec, ModelSpec, RegularizerConfig, SolverConfig,
                       build_model, synth_generate)
-from margfact.likelihoods import BINARY, EPS
 from margfact.model import SHARED, Term
-from margfact.tensor import multiplicity, reconstruct_marginal
+from margfact.tensor import multiplicity
 
 from helpers import make_obs
 
@@ -91,16 +89,6 @@ def pair(modalities, case, monkeypatch, zero_row=None, rank=3):
     return sparse, dense
 
 
-def floored_cells(model, rows=None):
-    """Cells per row (or in all) of Poisson-binary terms whose vhat is below EPS."""
-    count = np.zeros(N_PATIENTS)
-    for term in model.compiled_terms():
-        if term.kind.datatype == BINARY:
-            vhat = reconstruct_marginal(model.shared, term.blocks(model.factors), term.k)
-            count += (vhat < EPS).sum(axis=1)
-    return count.sum() if rows is None else count[rows]
-
-
 def assert_rows_close(got, want):
     """Within 1e-12 of the largest entry of the same row."""
     got, want = np.atleast_2d(got), np.atleast_2d(want)
@@ -119,8 +107,7 @@ def test_sparse_terms_match_dense(modalities, case, monkeypatch):
                          zero_row)
 
     f_sparse, f_dense = mmodel.objective(sparse), mmodel.objective(dense)
-    slack = EPS * floored_cells(dense)
-    assert abs(f_sparse - f_dense) <= 1e-12 * abs(f_dense) + slack
+    assert abs(f_sparse - f_dense) <= 1e-12 * abs(f_dense)
 
     for block in [SHARED] + list(modalities):
         assert_rows_close(mmodel.gradient_block(sparse, block),
@@ -134,8 +121,7 @@ def test_sparse_terms_match_dense(modalities, case, monkeypatch):
         got = sum(t.nll(S, sparse.factors, rows) for t in sparse.compiled_terms())
         want = sum(t.nll(S, dense.factors, rows) for t in dense.compiled_terms())
         assert np.shape(got) == np.shape(want) == (rows.size,)
-        slack = EPS * floored_cells(dense, rows)
-        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + slack)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
         for t_sparse, t_dense in zip(sparse.compiled_terms(), dense.compiled_terms()):
             assert_rows_close(t_sparse.gradient(S, sparse.factors, rows=rows),
                               t_dense.gradient(S, dense.factors, rows=rows))

@@ -235,7 +235,7 @@ def _fill(path, triplets, pidx, n_rows, vocab, kind):
     triplets' values at (pidx row, vocab column); every patient and item must
     be known, every (patient, item) pair unique and every value one kind
     holds. An error names the line of the first offending triplet in file
-    order."""
+    order, and quotes the text of an offending value."""
     pids, items, values = triplets
     rows = _indices(pids, pidx)
     cols = _indices(items, {it: j for j, it in enumerate(vocab)})
@@ -256,7 +256,9 @@ def _fill(path, triplets, pidx, n_rows, vocab, kind):
         if repeated[i]:
             raise IngestionError(f"{path}:{i + 2}: duplicate triplet for {(pids[i], items[i])}")
         what = next(what for mask, what in faults if mask[i])
-        raise IngestionError(f"{path}:{i + 2}: {what} {float(values[i])!r} in a {kind} matrix")
+        with _open(path) as fh:  # re-read, to name the text and not the float it parsed to
+            text = next(itertools.islice(csv.reader(fh), i + 1, None))[2]
+        raise IngestionError(f"{path}:{i + 2}: {what} {text!r} in a {kind} matrix")
     out = np.zeros((n_rows, len(vocab)), dtype=_value_dtype(kind, values))
     out[rows, cols] = values
     return out

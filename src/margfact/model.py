@@ -48,7 +48,7 @@ from .regularizers import (RegularizerConfig, angular_penalty_grad, angular_sum,
 from .regularizers import angular_penalty, elastic_net  # noqa: F401
 from .tensor import marginal_scales, multiplicity, reconstruct_marginal
 
-SHARED = "__shared__"
+SHARED = "shared"  # the shared block's name; check_modality_name keeps it from any modality
 
 #: Armijo sufficient-decrease constant, step shrink factor and halving budget
 #: of the projected line search
@@ -396,8 +396,9 @@ def build_model(spec, observations):
     return Model(spec, observations, shared, factors)
 
 
-def objective(model, block=None, parts=None):
-    """Sum of all marginal NLL terms plus both regularizers.
+def objective(model, block=None, parts=None, values=None):
+    """Sum of all marginal NLL terms plus both regularizers, with block
+    holding values when they are given: the model itself is never written.
 
     The sum is made of parts: each compiled term's NLL, added in
     compiled_terms() order, then gamma and beta times the sums of each
@@ -405,28 +406,34 @@ def objective(model, block=None, parts=None):
     order. Given a parts dict, objective stores every part it computes
     there. Given a block as well, it computes the parts that block touches
     and the parts the dict lacks, and reads the others from parts, which
-    must hold them for a model that differs from this one in that block
-    alone: the shared block touches every term and no penalty (it is never
-    regularized), a modality the terms of the tensors that list it and its
-    own two penalties. Every form returns the same float.
+    must hold them for a point that differs from the evaluated one in that
+    block alone: the shared block touches every term and no penalty (it is
+    never regularized), a modality the terms of the tensors that list it and
+    its own two penalties. Every form returns the same float.
     """
     if block not in (None, SHARED) and block not in model.factors:
         raise ConfigurationError(f"unknown block {block!r}")
+    shared, factors = model.shared, model.factors
+    if values is not None:
+        if block is None:
+            raise ConfigurationError("values given for no block")
+        shared, factors = ((values, factors) if block == SHARED
+                           else (shared, {**factors, block: values}))
     parts = {} if parts is None else parts
     cfg = model.spec.regularizer
     terms = model.compiled_terms()
     for i, term in enumerate(terms):
         if block in (None, SHARED) or block in term.tensor.modalities or i not in parts:
-            parts[i] = term.nll(model.shared, model.factors)
-    for name, U in model.factors.items():
+            parts[i] = term.nll(shared, factors)
+    for name, U in factors.items():
         if block in (None, name) or ("elastic_net", name) not in parts:
             parts["elastic_net", name] = elastic_net_sum(U, cfg)
             parts["angular", name] = angular_sum(U, cfg, name)
     total = 0.0
     for i in range(len(terms)):
         total += parts[i]
-    return total + (cfg.gamma * sum(parts["elastic_net", name] for name in model.factors)
-                    + cfg.beta * sum(parts["angular", name] for name in model.factors))
+    return total + (cfg.gamma * sum(parts["elastic_net", name] for name in factors)
+                    + cfg.beta * sum(parts["angular", name] for name in factors))
 
 
 def gradient_block(model, block):

@@ -10,11 +10,11 @@ where the last left off, so a block whose gradient is huge near the
 bound is not re-searched from step0 every sweep.
 
 The solver keeps the parts of the current objective (model.objective):
-each NLL term and each modality's unweighted penalty sums. A trial
-evaluates only the parts its block touches and reads the others from a
-copy of the current ones; the block's search adopts its last trial's parts
-only when the block moved to that trial. So every trial and every sweep
-value is the same float as a full evaluation of the objective.
+each NLL term and each modality's unweighted penalty sums. A trial is
+evaluated as values, not written to the model, on the parts its block
+touches and a copy of the current others; a block is written, and its
+last trial's parts adopted, only when it moved to that trial. So every
+trial and every sweep value is the same float as a full evaluation.
 
 A fit stops when a sweep lowers the objective by less than tol
 (relative), or after cfg.max_sweeps sweeps. The stop reason is
@@ -68,15 +68,6 @@ def train(model, cfg=None):
     blocks = [SHARED] + model.spec.modality_order
     steps = dict.fromkeys(blocks, cfg.step0)
 
-    def set_block(name, values):
-        if name == SHARED:
-            model.shared = values
-        else:
-            model.factors[name] = values
-
-    def get_block(name):
-        return model.shared if name == SHARED else model.factors[name]
-
     stop_reason = "budget"
     sweep = 0
     for sweep in range(1, cfg.max_sweeps + 1):
@@ -84,27 +75,25 @@ def train(model, cfg=None):
         accepted_flags = {}
         for name in blocks:
             grad = gradient_block(model, name)
-            old = get_block(name)
+            old = model.shared if name == SHARED else model.factors[name]
             last = {}  # the parts of the search's last trial
 
-            def eval_rows(trial, _idx, _name=name, _old=old):  # the block is one row
-                nonlocal last
-                set_block(_name, trial.reshape(_old.shape))
-                last = dict(parts)
-                try:
-                    return objective(model, _name, last)
-                finally:
-                    set_block(_name, _old)
+            def eval_rows(trial, _idx, _name=name, _shape=old.shape):  # the block is one row
+                last.update(parts)  # parts holds every key, so no earlier trial's part is left
+                return objective(model, _name, last, trial.reshape(_shape))
 
             new_values, f_new, accepted, eta = projected_step(
                 old, grad, eval_rows, [f], steps[name])
-            set_block(name, new_values)
             # plain float and bool, as the JSON step log needs
             f, accepted_flags[name] = float(f_new[0]), bool(accepted[0])
             steps[name] = float(eta[0])
             if not np.array_equal(new_values, old):
                 # an accepted trial is the search's last; a block that did
                 # not move keeps the current parts, whatever it tried
+                if name == SHARED:
+                    model.shared = new_values
+                else:
+                    model.factors[name] = new_values
                 parts = last
 
         if abs(f_prev - f) / max(1.0, abs(f_prev)) < cfg.tol:

@@ -113,14 +113,16 @@ class TestLoadSave:
             '{"modalities": [{"name": "A", "path": "A.csv", "kind": "%s",'
             ' "vocab_path": "A.vocab.txt"}]}' % kind)
         with pytest.raises(IngestionError, match=re.escape(
-                f"A.csv:3: non-finite value {float(value)!r} in a {kind} matrix")):
+                f"A.csv:3: non-finite value {value!r} in a {kind} matrix")):
             load_observations(d / "manifest.json")
 
     @pytest.mark.parametrize("kind,line,message", [
-        ("poisson-integer", "p0,x,-1", "A.csv:2: negative value -1.0 in a poisson-integer matrix"),
+        ("poisson-integer", "p0,x,-1", "A.csv:2: negative value '-1' in a poisson-integer matrix"),
         ("poisson-integer", "p0,x,1.5",
-         "A.csv:2: non-integer value 1.5 in a poisson-integer matrix"),
-        ("poisson-binary", "p0,x,2", "A.csv:2: non-binary value 2.0 in a poisson-binary matrix"),
+         "A.csv:2: non-integer value '1.5' in a poisson-integer matrix"),
+        ("poisson-binary", "p0,x,2", "A.csv:2: non-binary value '2' in a poisson-binary matrix"),
+        ("poisson-integer", '"p0","x"," -1"',
+         "A.csv:2: negative value ' -1' in a poisson-integer matrix"),
         ("poisson-integer", "p0,x", "A.csv:2: expected 3 fields, got 2"),
         ("gaussian-real", "p0,x,abc", "A.csv:2: bad value 'abc'")])
     def test_bad_triplet_refused(self, tmp_path, kind, line, message):
@@ -722,8 +724,10 @@ class TestCountDtype:
     def test_triplet_count_beyond_2_to_the_53_refused(self, tmp_path, text, value):
         manifest = write_counts(tmp_path, ["p0,y,2", f"p1,x,{text}"])
         with pytest.raises(IngestionError, match=re.escape(
-                f"A.csv:3: count of 2**53 or more {value} in a poisson-integer matrix")):
+                f"A.csv:3: count of 2**53 or more {text!r} in a poisson-integer matrix")) as exc:
             load_observations(manifest)
+        # the message quotes the file's text, not value, the float it parses to
+        assert repr(float(text)) == value and value not in str(exc.value)
 
     def test_matrix_count_beyond_2_to_the_53_refused(self):
         for counts in (np.array([[0.0, 2.0 ** 60]]), np.array([[0, 2 ** 53]], dtype=np.uint64),

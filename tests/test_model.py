@@ -8,7 +8,7 @@ from margfact import (ConfigurationError, GaussianParams, IngestionError,
                       RegularizerConfig, SolverConfig, angular_penalty, build_model,
                       elastic_net, gradient_block, load_model, nll, objective,
                       project_patients, reconstruct_marginal, save_model)
-from margfact.model import SHARED
+from margfact.model import SHARED, Model
 from margfact.solver import train
 
 from conftest import assert_grad_close, central_difference
@@ -154,13 +154,33 @@ class TestObjective:
                                                 rel=1e-12)
 
     def test_every_form_returns_the_same_float(self):
-        model = small_mixed_model()
-        whole = objective(model)
-        for block in [SHARED, *model.factors]:
-            assert objective(model, block) == whole  # no parts dict: every part computed
-            parts = {}
-            assert objective(model, block, parts) == whole
-            assert objective(model, block, parts) == whole  # read back from the full dict
+        rng = np.random.default_rng(1)
+        obs = {n: make_obs(n, rng.poisson(1.0, (6, i)).astype(float), "poisson", "integer")
+               for n, i in (("A", 3), ("B", 4), ("C", 2))}
+        three_way = build_model(ModelSpec(
+            rank=2, tensors=[InteractionTensorSpec("abc", ["A", "B", "C"], "poisson")],
+            regularizer=RegularizerConfig(gamma=1e-3, beta=0.5)), obs)
+        for model in (small_mixed_model(), three_way):
+            whole = objective(model)
+            for block in [SHARED, *model.factors]:
+                assert objective(model, block) == whole  # no parts dict: every part computed
+                parts = {}
+                assert objective(model, block, parts) == whole
+                assert objective(model, block, parts) == whole  # read back from the full dict
+                # block holding values: evaluated as the model holding them, never written
+                shared, factors = model.shared, dict(model.factors)
+                values = rng.uniform(size=(shared if block == SHARED else factors[block]).shape)
+                held = Model(model.spec, model.observations, shared, dict(factors))
+                if block == SHARED:
+                    held.shared = values
+                else:
+                    held.factors[block] = values
+                for trial_parts in (None, {}, dict(parts)):
+                    assert objective(model, block, trial_parts, values) == objective(held)
+                assert model.shared is shared
+                assert all(model.factors[n] is U for n, U in factors.items())
+            with pytest.raises(ConfigurationError, match="no block"):
+                objective(model, None, None, model.shared)
 
 
     def test_gaussian_multiplicity_matches_monte_carlo(self):

@@ -300,8 +300,20 @@ class TestStopReason:
         assert report.stop_reason == "stalled" and not report.converged
         assert report.sweeps_run > 1
         assert report.step_log[-1]["step_accepted_per_block"] == {
-            "__shared__": False, "A": True, "B": True}
+            SHARED: False, "A": True, "B": True}
         np.testing.assert_array_equal(model.shared, frozen)
+
+    def test_a_modality_named_dunder_shared_is_a_block_of_its_own(self):
+        rng = np.random.default_rng(0)
+        obs = {n: make_obs(n, rng.poisson(1.0, (8, 4)).astype(float), "poisson", "integer")
+               for n in ("A", "__shared__")}
+        spec = ModelSpec(rank=2, tensors=[
+            InteractionTensorSpec("t", ["A", "__shared__"], "poisson")])
+        model = build_model(spec, obs)
+        start = model.factors["__shared__"].copy()
+        report = train(model, SolverConfig(max_sweeps=5, log_every=1))
+        assert list(report.step_log[0]["step_accepted_per_block"]) == [SHARED, "A", "__shared__"]
+        assert not np.array_equal(model.factors["__shared__"], start)
 
     def test_sweep_budget(self):
         model = poisson_pair_model(seed=1)
@@ -316,7 +328,7 @@ class TestStopReason:
         d = json.loads(json.dumps(report.to_dict()))
         assert d["stop_reason"] == report.stop_reason == "converged" and d["converged"]
         first = report.step_log[0]
-        assert list(first["step_size_per_block"]) == ["__shared__", "A", "B"]
+        assert list(first["step_size_per_block"]) == [SHARED, "A", "B"]
         for entry in d["steps"]:
             assert all(type(v) is float and 0.0 < v < np.inf
                        for v in entry["step_size_per_block"].values())
@@ -533,18 +545,19 @@ class TestBlockLocalTrials:
                 seen.append(objective(m))
             return gradient_block(m, block)
 
-        def checked(m, block=None, parts=None):
+        def checked(m, block=None, parts=None, values=None):
             if block is not None:
                 fresh, kept = {}, dict(parts)
-                objective(m, parts=fresh)
-                objective(m, block, kept)
+                objective(m, block, fresh, values)
+                objective(m, block, kept, values)
                 assert kept == fresh
-            return objective(m, block, parts)
+            return objective(m, block, parts, values)
 
         with monkeypatch.context() as patch:
             patch.setattr(solver, "gradient_block", watch)
             if full_trials:
-                patch.setattr(solver, "objective", lambda m, block=None, parts=None: objective(m))
+                patch.setattr(solver, "objective", lambda m, block=None, parts=None, values=None:
+                              objective(m, block, None, values))
             else:
                 patch.setattr(solver, "objective", checked)
             report = train(model, cfg)
@@ -559,7 +572,7 @@ class TestBlockLocalTrials:
         if layout == "stationary_after_rejected":
             entries = [e["step_accepted_per_block"] for e in report.step_log]
             assert all(e["C"] and e["D"] for e in entries)
-            assert not entries[1]["B"] and entries[2]["__shared__"]
+            assert not entries[1]["B"] and entries[2][SHARED]
         if layout == "stationary_after_rejected_trial":
             assert report.step_log[0]["step_accepted_per_block"]["M1"]
         assert report.loss_trace == ref_report.loss_trace

@@ -1,5 +1,6 @@
 """Shared builders for small synthetic models used across the test suite,
-and the brute-force full-tensor oracles the marginal algebra is checked against."""
+the brute-force full-tensor oracles the marginal algebra is checked against,
+and the plain ISTA oracle the lasso-logistic solver is checked against."""
 
 import csv
 
@@ -121,3 +122,38 @@ def poisson_pair_model(seed=0, n_patients=8, n_a=4, n_b=5, rank=2, gamma=0.0, be
                      regularizer=RegularizerConfig(gamma=gamma, alpha=0.7, beta=beta, theta=0.5),
                      init_seed=seed, solver=SolverConfig(max_sweeps=max_sweeps, tol=tol))
     return build_model(spec, observations)
+
+
+def lasso_objective(X, y, lam, w, b):
+    """Mean logistic loss of X @ w + b plus lam * ||w||_1."""
+    z = X @ w + b
+    # log(1 + e^-z) stable for both signs
+    return float(np.mean(np.logaddexp(0.0, -z) + (1.0 - y) * z)) + lam * float(np.sum(np.abs(w)))
+
+
+def lasso_step(X):
+    """1/L for the mean logistic loss on [X, 1]: the lasso solver's step."""
+    Xa = np.hstack([X, np.ones((X.shape[0], 1))])
+    return X.shape[0] / (0.25 * np.linalg.norm(Xa, 2) ** 2)
+
+
+def lasso_prox_step(X, y, lam, w, b, step):
+    """One proximal gradient step from (w, b): soft-threshold w, not b."""
+    r = 1.0 / (1.0 + np.exp(-(X @ w + b))) - y
+    w_new = w - step * (X.T @ r / len(y))
+    w_new = np.sign(w_new) * np.maximum(0.0, np.abs(w_new) - step * lam)
+    return w_new, b - step * float(np.mean(r))
+
+
+def lasso_ista(X, y, lam, tol=1e-7, max_iter=10_000):
+    """Plain ISTA from zero, stopped at a relative objective change of tol."""
+    step = lasso_step(X)
+    w, b = np.zeros(X.shape[1]), 0.0
+    obj = lasso_objective(X, y, lam, w, b)
+    for _ in range(max_iter):
+        w, b = lasso_prox_step(X, y, lam, w, b, step)
+        new = lasso_objective(X, y, lam, w, b)
+        if abs(obj - new) <= tol * max(1.0, abs(obj)):
+            break
+        obj = new
+    return w, b

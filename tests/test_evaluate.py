@@ -7,10 +7,20 @@ import pytest
 from margfact import (ConfigurationError, InteractionTensorSpec, ModelSpec, NumericError,
                       RegularizerConfig, SolverConfig, auprc, evaluate, five_fold_cv,
                       lasso_logistic_fit, reconstruct_marginal)
-from margfact.evaluate import (LAMBDA_GRID, _logistic_loss, _select_lambda, _stratified_folds,
-                               cv_fold, predict_scores)
+from margfact.data_io import stratified_split
+from margfact.evaluate import (LAMBDA_GRID, PG_TOL, _select_lambda, _stratified_folds, cv_fold,
+                               predict_scores)
 
-from helpers import make_obs
+from helpers import lasso_ista, lasso_objective, lasso_prox_step, lasso_step, make_obs
+
+
+def planted_lasso_problem(seed, n=80):
+    """Non-negative features, as shared factors are, with three informative columns."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.0, 2.0, size=(n, 6))
+    z = 3.0 * X[:, 0] - 2.0 * X[:, 3] + 0.5 * X[:, 5] - 1.0
+    y = (1.0 / (1.0 + np.exp(-z)) > rng.uniform(size=n)).astype(int)
+    return X, y
 
 
 class TestLassoLogistic:
@@ -32,31 +42,51 @@ class TestLassoLogistic:
         pred = (predict_scores(X, w, b) > 0.5).astype(int)
         assert np.mean(pred == y) == 1.0
 
-    def test_objective_trace_nonincreasing(self):
-        rng = np.random.default_rng(2)
-        X = rng.standard_normal((30, 4))
-        y = (rng.uniform(size=30) < 0.5).astype(int)
-        lam = 0.01
-        # re-run the proximal iteration manually to watch the objective
-        n, d = X.shape
-        Xa = np.hstack([X, np.ones((n, 1))])
-        L = 0.25 * np.linalg.norm(Xa, 2) ** 2 / n
-        step = 1.0 / L
-        w, b = np.zeros(d), 0.0
-        prev = _logistic_loss(X @ w + b, y) + lam * np.sum(np.abs(w))
-        for _ in range(200):
-            p = 1.0 / (1.0 + np.exp(-(X @ w + b)))
-            w_new = w - step * (X.T @ (p - y) / n)
-            w_new = np.sign(w_new) * np.maximum(0.0, np.abs(w_new) - step * lam)
-            b_new = b - step * float(np.mean(p - y))
-            cur = _logistic_loss(X @ w_new + b_new, y) + lam * np.sum(np.abs(w_new))
-            assert cur <= prev + 1e-12
-            w, b, prev = w_new, b_new, cur
+    def test_fit_is_stationary_and_no_worse_than_ista(self):
+        X, y = planted_lasso_problem(2)
+        step = lasso_step(X)
+        for lam in LAMBDA_GRID:
+            w, b = lasso_logistic_fit(X, y, lam)
+            w_next, b_next = lasso_prox_step(X, y, lam, w, b, step)
+            prox_gradient = np.linalg.norm(np.append(w - w_next, b - b_next)) / step
+            assert prox_gradient <= PG_TOL, lam
+            ista = lasso_ista(X, y, lam)
+            assert lasso_objective(X, y, lam, w, b) <= lasso_objective(X, y, lam, *ista), lam
+
+    @pytest.mark.parametrize("lam, start_lam", [(1e-4, 1e-3), (1e-2, 1.0), (1.0, 1e-4)])
+    def test_warm_start_reaches_the_cold_objective(self, lam, start_lam):
+        X, y = planted_lasso_problem(3)
+        cold = lasso_objective(X, y, lam, *lasso_logistic_fit(X, y, lam))
+        warm = lasso_logistic_fit(X, y, lam, *lasso_logistic_fit(X, y, start_lam))
+        assert lasso_objective(X, y, lam, *warm) == pytest.approx(cold, rel=1e-9, abs=0.0)
 
     def test_single_class_errors(self):
         X = np.ones((5, 2))
         with pytest.raises(ValueError):
             lasso_logistic_fit(X, np.zeros(5), 0.1)
+
+    @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
+    def test_lambda_must_be_finite_and_non_negative(self, lam):
+        X, y = planted_lasso_problem(0, n=20)
+        with pytest.raises(ConfigurationError, match="lam must be a finite number"):
+            lasso_logistic_fit(X, y, lam)
+
+    @pytest.mark.parametrize("bad", ["inf", "nan", "one_d", "short_labels"])
+    def test_features_must_be_finite_2d_rows_of_the_labels(self, bad):
+        X, y = planted_lasso_problem(0, n=20)
+        if bad in ("inf", "nan"):
+            X[4, 1] = float(bad)
+        X, y = {"one_d": (X[:, 0], y), "short_labels": (X, y[:-1])}.get(bad, (X, y))
+        with pytest.raises(ValueError, match="X must be a finite 2-D array|one 0 or 1"):
+            lasso_logistic_fit(X, y, 0.01)
+
+    @pytest.mark.parametrize("labels", [[0, 2], [0, 0.5], [-1, 1]],
+                             ids=["two", "half", "minus_one"])
+    def test_labels_must_be_0_or_1(self, labels):
+        X, y = planted_lasso_problem(0, n=20)
+        y = np.where(y == 1, labels[1], labels[0])
+        with pytest.raises(ValueError, match="labels must be one 0 or 1 per patient"):
+            lasso_logistic_fit(X, y, 0.01)
 
     def test_lasso_path_monotone(self):
         rng = np.random.default_rng(3)
@@ -140,6 +170,22 @@ class TestAuprc:
         with pytest.raises(ValueError):
             auprc(np.array([0.1, 0.2]), np.array([1, 1]))
 
+    @pytest.mark.parametrize("labels", [[2, 0, 0], [1, 0.5, 0], [1, 0, -1]],
+                             ids=["two", "half", "minus_one"])
+    def test_labels_must_be_0_or_1(self, labels):
+        with pytest.raises(ValueError, match="labels must be one 0 or 1 per patient"):
+            auprc(np.array([0.9, 0.5, 0.1]), np.array(labels))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_scores_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="scores must be a finite 1-D array"):
+            auprc(np.array([0.9, bad, 0.1, 0.3]), np.array([1, 0, 0, 1]))
+
+    @pytest.mark.parametrize("n_labels", [3, 5])
+    def test_scores_and_labels_of_different_lengths(self, n_labels):
+        with pytest.raises(ValueError, match="4 patients, labels of shape"):
+            auprc(np.array([0.9, 0.5, 0.1, 0.3]), np.array([1, 0, 0, 1, 0])[:n_labels])
+
 
 def test_select_lambda_falls_back_without_both_classes_on_each_side(monkeypatch):
     # one positive goes to the validation side, leaving the fit side one class,
@@ -149,7 +195,23 @@ def test_select_lambda_falls_back_without_both_classes_on_each_side(monkeypatch)
 
     monkeypatch.setattr(evaluate, "lasso_logistic_fit", fail)
     X = np.random.default_rng(0).uniform(size=(6, 3))
-    assert _select_lambda(X, np.array([0, 0, 1, 0, 0, 0]), seed=0) == LAMBDA_GRID[0]
+    assert _select_lambda(X, np.array([0, 0, 1, 0, 0, 0]), seed=0) == (LAMBDA_GRID[0], (None, 0.0))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_select_lambda_scores_the_path_as_cold_fits_in_grid_order(seed):
+    # the lambda that scoring cold fits in LAMBDA_GRID order picks, a tie going to the
+    # smaller; seeds 2 and 4 tie at the best score (1e-4, 1e-3 and 1e-2 score alike)
+    X, y = planted_lasso_problem(seed, n=40 + 10 * seed)
+    val_idx, fit_idx = stratified_split(y, 0.2, np.random.default_rng(seed))
+    scores = [auprc(predict_scores(X[val_idx], *lasso_logistic_fit(X[fit_idx], y[fit_idx], lam)),
+                    y[val_idx]) for lam in LAMBDA_GRID]
+    lam, (w, b) = _select_lambda(X, y, seed)
+    assert lam == LAMBDA_GRID[scores.index(max(scores))]
+    # the start it returns is the chosen lambda's fit on the inner split
+    cold = lasso_logistic_fit(X[fit_idx], y[fit_idx], lam)
+    assert lasso_objective(X[fit_idx], y[fit_idx], lam, w, b) == pytest.approx(
+        lasso_objective(X[fit_idx], y[fit_idx], lam, *cold), rel=1e-9, abs=0.0)
 
 
 def cv_setup(seed=0, n=120, rank=3, per_block=8):

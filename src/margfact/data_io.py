@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, IngestionError, check_setting
+from .errors import ConfigurationError, IngestionError, check_keys, check_setting
 from .likelihoods import (BINARY, INTEGER, POISSON, REAL, GaussianParams,
                           ObservationKind, gaussian_binary_prob, tensor_kind)
 from .tensor import multiplicity, reconstruct_marginal
@@ -269,20 +269,24 @@ def load_observations(manifest_path):
 
     The manifest is an object with a non-empty "modalities" list of
     {name, path, kind, vocab_path} entries (paths relative to it) and an
-    optional "patients" list; any other shape raises IngestionError naming it.
+    optional "patients" list, and no other key; any other shape raises
+    IngestionError naming it.
     So do a "patients" list that repeats an id, a cohort without patients and
     a modality without items.
     """
     manifest = read_json(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
     try:
+        check_keys("top level", manifest, ("modalities", "patients"), ValueError)
         entries, patients = manifest["modalities"], manifest.get("patients", [])
         if not (isinstance(entries, list) and entries and isinstance(patients, list)
                 and all(isinstance(p, str) for p in patients)):
             raise IngestionError(f"{manifest_path}: 'modalities' must be a non-empty list "
                                  "and 'patients' a list of ids")
         files = {}
-        for e in entries:
+        for i, e in enumerate(entries, start=1):
+            check_keys(f"'modalities' entry {i}", e, ("name", "path", "kind", "vocab_path"),
+                       ValueError)
             check_modality_name(e["name"], ValueError)
             if e["name"] in files:
                 raise ValueError(f"modality {e['name']!r} listed twice")
@@ -325,6 +329,16 @@ def load_observations(manifest_path):
     return observations
 
 
+def _first_repeat(ids):
+    """The first of ids equal to an earlier one, or None."""
+    seen = set()
+    for x in ids:
+        if x in seen:
+            return x
+        seen.add(x)
+    return None
+
+
 def save_observations(observations, out_dir):
     """Write manifest + triplet/vocab files; inverse of load_observations."""
     for name, obs in observations.items():  # every check before the first write
@@ -332,6 +346,11 @@ def save_observations(observations, out_dir):
         if any(not it or "\n" in it or "\r" in it for it in map(str, obs.item_ids)):
             raise ConfigurationError(f"modality {name!r}: an item id is empty or holds a line "
                                      "break, which a vocabulary file cannot carry")
+        for what, ids in (("patient", obs.shared_ids), ("item", obs.item_ids)):
+            repeat = _first_repeat(map(str, ids))
+            if repeat is not None:
+                raise ConfigurationError(f"modality {name!r}: {what} id {repeat!r} is repeated, "
+                                         "which load_observations refuses")
     entries = []
     for name, obs in observations.items():
         triplet_path = f"{name}.csv"

@@ -36,13 +36,14 @@ def check_setting(owner, name, value, low, high=math.inf, integral=False, open_l
     raise ConfigurationError(f"{owner}: {name} must be {what} in {interval}, got {value!r}")
 
 
-def check_keys(owner, doc, keys):
-    """ConfigurationError naming owner unless doc is a dict holding no key outside keys."""
+def check_keys(owner, doc, keys, error=ConfigurationError):
+    """error (ConfigurationError by default) naming owner unless doc is a dict
+    holding no key outside keys."""
     if not isinstance(doc, dict):
-        raise ConfigurationError(f"{owner} must be a JSON object, got {type(doc).__name__}")
+        raise error(f"{owner} must be a JSON object, got {type(doc).__name__}")
     unknown = [key for key in doc if key not in keys]
     if unknown:
-        raise ConfigurationError(f"{owner}: unknown key {unknown[0]!r}; known: {', '.join(keys)}")
+        raise error(f"{owner}: unknown key {unknown[0]!r}; known: {', '.join(keys)}")
 
 
 class Settings:

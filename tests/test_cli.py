@@ -770,10 +770,12 @@ BAD_KIND = st.one_of(st.sampled_from(["poisson-real", "gaussian-integer", "poiss
                                       "Poisson-integer", "poisson_integer", ""]),
                      st.text(max_size=12)).filter(lambda t: t not in KINDS)
 ENTRY_KEYS = ("name", "path", "kind", "vocab_path")
-# what each document needs: the keys that may not be dropped, and the values
-# that may not take some type
+# what each document needs: the keys that may not be dropped, the keys that
+# may not be added (a near miss of a known one, at a path), and the values that
+# may not take some type
 MANIFEST_FAULTS = {
     "drop": [("modalities",)] + [("modalities", i, k) for i in (0, 1) for k in ENTRY_KEYS],
+    "add": [("patient",), ("modality",), ("modalities", 0, "vocab"), ("modalities", 0, "id")],
     "retype": [((), NOT_STRING), (("modalities",), NOT_LIST | st.text(max_size=3)),
                (("patients",), NOT_LIST | st.text(max_size=3)),
                (("patients", 0), NOT_STRING), (("modalities", 1, "kind"), BAD_KIND)]
@@ -783,6 +785,7 @@ MANIFEST_FAULTS = {
 SPEC_FAULTS = {
     "drop": [("rank",), ("tensors",)] + [("tensors", 0, k)
                                          for k in ("id", "modalities", "distribution")],
+    "add": [("ranks",), ("regularizers",), ("tensors", 0, "sigma"), ("tensors", 0, "modality")],
     "retype": [((), NOT_STRING), (("tensors",), NOT_LIST), (("tensors", 0), NOT_STRING),
                (("tensors", 0, "modalities"), NOT_LIST),
                (("tensors", 0, "distribution"), NOT_STRING),
@@ -796,14 +799,16 @@ SPEC_FAULTS = {
 
 @st.composite
 def broken(draw, doc, faults):
-    """The JSON text of doc with one fault: a required key dropped, a value of a
-    type it may not take, or the text cut short."""
-    how = draw(st.sampled_from(["drop", "retype", "cut"]))
+    """The JSON text of doc with one fault: a required key dropped, an unknown
+    key added, a value of a type it may not take, or the text cut short."""
+    how = draw(st.sampled_from(["drop", "add", "retype", "cut"]))
     text = json.dumps(doc)
     if how == "cut":
         return text[:draw(st.integers(0, len(text) - 1))]
     if how == "drop":
         path = draw(st.sampled_from(faults["drop"]))
+    elif how == "add":
+        path, value = draw(st.sampled_from(faults["add"])), draw(NOT_STRING | st.text(max_size=3))
     else:
         path, wrong = draw(st.sampled_from(faults["retype"]))
         value = draw(wrong)

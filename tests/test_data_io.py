@@ -249,6 +249,18 @@ class TestNames:
             save_observations(obs, tmp_path / "out")
         assert not (tmp_path / "out").exists()  # nothing written, Dx's files included
 
+    @pytest.mark.parametrize("patients,items,named", [
+        (["p0", "p1", "p0", "p1"], ["a", "b"], "patient id 'p0'"),
+        (["p0", "p1", "p2"], ["a", "b", "b", "a"], "item id 'b'")])
+    def test_save_rejects_repeated_ids_that_load_refuses(self, tmp_path, patients, items,
+                                                         named):
+        obs = {"Rx": ObservationMatrix("Rx", patients, items,
+                                       ObservationKind.parse("poisson-integer"),
+                                       np.ones((len(patients), len(items))))}
+        with pytest.raises(ConfigurationError, match=f"modality 'Rx': {named} is repeated"):
+            save_observations(obs, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("name", ["../esc", "shared", "", ".."])
     def test_save_rejects_modality_name_that_escapes_or_clashes(self, tmp_path, name):
         obs = {name: make_obs("A", [[1.0]], "poisson", "integer")}

@@ -174,16 +174,37 @@ def test_column_order_is_the_row_order_stably_sorted_by_column(case, monkeypatch
     sparse, _ = pair(("A", "B", "C"), case, monkeypatch)
     for term in sparse.compiled_terms():
         by_row, by_col = term.cells.by_row, term.cells.by_col
+        row_runs, col_runs = (np.repeat(np.arange(sel.ptr.size - 1), np.diff(sel.ptr))
+                              for sel in (by_row, by_col))
         rows, cols = np.nonzero(term.V)
-        assert np.array_equal(by_row.X_row, rows) and np.array_equal(by_row.Y_row, cols)
+        assert np.array_equal(row_runs, rows) and np.array_equal(by_row.Y_row, cols)
         assert np.array_equal(by_row.val, term.V[rows, cols])
+        assert by_row.val.dtype == by_col.val.dtype == term.V.dtype
         assert np.array_equal(np.diff(by_row.ptr), np.count_nonzero(term.V, axis=1))
-        triples = list(zip(by_row.X_row.tolist(), by_row.Y_row.tolist(), by_row.val.tolist()))
-        swapped = list(zip(by_col.Y_row.tolist(), by_col.X_row.tolist(), by_col.val.tolist()))
+        triples = list(zip(row_runs.tolist(), by_row.Y_row.tolist(), by_row.val.tolist()))
+        swapped = list(zip(by_col.Y_row.tolist(), col_runs.tolist(), by_col.val.tolist()))
         assert swapped == sorted(triples, key=lambda cell: cell[1])
         assert np.array_equal(np.diff(by_col.ptr), np.count_nonzero(term.V, axis=0))
-        assert {a.dtype for a in (by_row.X_row, by_row.Y_row, by_col.X_row, by_col.Y_row)} \
-            == {np.dtype(np.int32)}
+        assert {a.dtype for a in (by_row.Y_row, by_col.Y_row)} == {np.dtype(np.int32)}
+
+
+@pytest.mark.parametrize("datatype", ["binary", "integer"])
+def test_sparse_cells_hold_under_12_bytes_a_cell(datatype):
+    """A sparse term's two cell orders hold an int32 index and V's one-byte
+    value a cell, and the runs' pointers: no run index, no float64 copy."""
+    V = random_cells(np.random.default_rng(0), (2000, 1000), datatype, density=0.02)
+    spec = ModelSpec(rank=3, tensors=[InteractionTensorSpec("t", ["A"], "poisson")])
+    model = build_model(spec, {"A": make_obs("A", V, "poisson", datatype)})
+    assert model.observations["A"].values.dtype == (bool if datatype == "binary" else np.uint8)
+
+    tracemalloc.start()
+    try:
+        term, = model.compiled_terms()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert term.cells is not None
+    assert held <= 12 * np.count_nonzero(V)
 
 
 def test_shared_gradient_memory_is_bounded_by_the_block(monkeypatch):

@@ -20,6 +20,9 @@ thread before numpy loads. Each line is `<output> <sha256>`:
   of a plain split of cv_mixed seed 1, for split seeds 0-4;
 - three_way: every block gradient, the objective and two correspondence
   rows of a three-modality model (the column-scale product with skips);
+- recovery: the loss_trace (log_every=1) of each Poisson planted-recovery
+  fit of tests/test_recovery.py, the pair and the three-way tensor at seeds
+  0 and 1 (the all-Poisson shared block's EM step);
 - save_observations: the name and bytes of every file save_observations
   writes for cv_mixed seed 0 (all four kinds) and cohort10k seed 0;
 - load_observations: the ids and values, as float64, of every matrix
@@ -125,6 +128,17 @@ def three_way():
     return sha(*grads, [objective(model)], *rows)
 
 
+def recovery(layout, seed):
+    modalities, scale = {"poisson_pair": (["A", "B"], 1.0),
+                         "poisson_three_way": (["A", "B", "C"], 0.5)}[layout]
+    spec = ModelSpec(rank=5, tensors=[InteractionTensorSpec("t", modalities, "poisson")],
+                     init_seed=seed, solver=SolverConfig(log_every=1))
+    obs, _ = synth_generate(spec, dict.fromkeys(modalities, 30),
+                            dict.fromkeys(modalities, "integer"), 500, sparsity=0.5,
+                            scale=scale, seed=seed)
+    return sha([f for _, f in train(build_model(spec, obs)).loss_trace])
+
+
 def saved_and_loaded():
     files, loaded = hashlib.sha256(), hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
@@ -173,6 +187,10 @@ if __name__ == "__main__":
     print(f"cv_mixed.five_fold_cv {cv}")
     print(f"cv_mixed.split_train_test {split}")
     print(f"three_way.gradients_objective_correspondence {three_way()}", flush=True)
+    for layout in ("poisson_pair", "poisson_three_way"):
+        for seed in (0, 1):
+            print(f"recovery.{layout}.seed{seed}.loss_trace {recovery(layout, seed)}",
+                  flush=True)
     files, loaded = saved_and_loaded()
     print(f"save_observations.files {files}")
     print(f"load_observations.values {loaded}")

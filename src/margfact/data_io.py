@@ -340,9 +340,16 @@ def _first_repeat(ids):
 
 
 def save_observations(observations, out_dir):
-    """Write manifest + triplet/vocab files; inverse of load_observations."""
+    """Write manifest + triplet/vocab files; inverse of load_observations.
+    Every modality must hold the first one's patient ids, in its order: the
+    manifest lists them once, and load_observations reads every modality
+    against that list."""
+    first = next(iter(observations), None)
     for name, obs in observations.items():  # every check before the first write
         check_modality_name(name, ConfigurationError)
+        if list(obs.shared_ids) != list(observations[first].shared_ids):
+            raise ConfigurationError(f"modality {name!r}: patient ids differ from those of "
+                                     f"the first modality {first!r}, which the manifest lists")
         if any(not it or "\n" in it or "\r" in it for it in map(str, obs.item_ids)):
             raise ConfigurationError(f"modality {name!r}: an item id is empty or holds a line "
                                      "break, which a vocabulary file cannot carry")
@@ -366,7 +373,7 @@ def save_observations(observations, out_dir):
         entries.append({"name": name, "path": triplet_path, "kind": str(obs.kind),
                         "vocab_path": vocab_path})
     manifest_path = os.path.join(out_dir, "manifest.json")
-    shared_ids = next(iter(observations.values())).shared_ids if observations else []
+    shared_ids = observations[first].shared_ids if observations else []
     write_json(manifest_path, {"modalities": entries, "patients": list(shared_ids)})
     return manifest_path
 

@@ -29,6 +29,11 @@ with cells x rank: the fit's memory is set by the block, not by the
 observations, and each block's gathers stay in cache. Per-run sums never
 cross a block, and a sum over all cells runs on a whole per-cell vector, so
 every block size gives the same bits.
+
+One line search, projected_step, serves every block and the projection of
+new patients, in two step forms: an additive step size per row, and a step
+per entry scaled by t, which the shared block of an all-Poisson model takes
+as em_step's EM update.
 """
 
 import os
@@ -55,6 +60,10 @@ SHARED = "shared"  # the shared block's name; check_modality_name keeps it from 
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 MAX_HALVINGS = 30
+
+#: CP-APR's shift for inadmissible zeros (Chi & Kolda 2012): an entry of an
+#: EM-stepped block below it whose gradient is negative is scaled as KAPPA
+KAPPA = 1e-10
 
 #: A Poisson term is evaluated on its observed cells alone when fewer than
 #: this share of its cells are nonzero. Measured on one core for 500x30
@@ -103,7 +112,9 @@ class InteractionTensorSpec(Settings):
 class SolverConfig(Settings):
     max_sweeps: int = 5000
     tol: float = 1e-6
-    step0: float = 1e-2  # the first step only: later searches start where the last one ended
+    # the first additive step only: later searches start where the last one
+    # ended, and an all-Poisson fit's shared block takes the EM step instead
+    step0: float = 1e-2
     log_every: int = 10
     # settings that became the constants ARMIJO_C, BACKTRACK and MAX_HALVINGS
     RETIRED = ("armijo_c", "backtrack", "max_halvings")
@@ -456,46 +467,77 @@ def gradient_block(model, block):
     return grad
 
 
+def em_step(model, x, grad):
+    """The per-entry step of an all-Poisson shared block: D = x~ / P.
+
+    P = sum over terms of prod_m colsum(B_m) is the gradient of the terms'
+    sum(vhat), one R-vector for every row, and the positive part of grad =
+    P - N, N >= 0. At t = 1 the trial max(0, x - t * D * grad) is then the
+    multiplicative EM/MM update x * N / P, which never raises the NLL (Lee &
+    Seung 2001; CP-APR, Chi & Kolda 2012). x~ is x except KAPPA where x <
+    KAPPA and grad < 0 (CP-APR's shift), so an entry at zero that the
+    gradient pulls up can leave it; D is 0 where P is 0, which leaves those
+    entries unmoved.
+    """
+    P = sum(marginal_scales(term.blocks(model.factors)) for term in model.compiled_terms())
+    x_tilde = np.where((x < KAPPA) & (grad < 0), KAPPA, x)
+    return np.divide(x_tilde, P, out=np.zeros_like(x_tilde), where=P > 0)
+
+
 def projected_step(values, grad, eval_rows, f_current, eta):
     """One backtracked projected gradient step on each row of a block.
 
-    Row i of values is an independent problem with objective f_current[i]
-    and its own step eta[i] (a scalar eta serves every row); a whole block
-    is one row. Each row's candidate is max(0, row - eta * grad_row), and
-    its eta is multiplied by BACKTRACK until the projected-direction Armijo
-    condition holds or MAX_HALVINGS halvings are spent, and then the row
-    stays unchanged. Each halving calls eval_rows(trial_rows, rows) with the
-    trial values of the rows still searching and their indices, and it
-    returns one value per row, each depending on that row alone. A zero
-    projected step is stationary: accepted, unchanged, with no evaluation.
-    Returns (new_values, new_objective, accepted, next_eta), the last three
-    one entry per row. next_eta is where the row's next search should start
-    (Lin 2007): the accepted step / BACKTRACK, so the step can grow; the
-    smallest step tried after a rejected search, so it keeps shrinking; and
-    the given step for a stationary row.
+    Row i of values is an independent problem with objective f_current[i];
+    a whole block is one row. eta is its step in one of two forms:
+
+    - per row: eta[i] (a scalar eta serves every row). The row's candidate
+      is max(0, row - eta * grad_row), and the Armijo test is f_trial <= f -
+      ARMIJO_C * ||trial - row||^2 / eta;
+    - per entry: a 2-D eta of values' shape, D. The candidate is max(0, row
+      - t * D * grad_row) from t = 1, and the test is f_trial <= f -
+      ARMIJO_C * sum over D > 0 of (trial - row)^2 / (t * D).
+
+    The step (eta or t) is multiplied by BACKTRACK until the test holds or
+    MAX_HALVINGS halvings are spent, and then the row stays unchanged. Each
+    halving calls eval_rows(trial_rows, rows) with the trial values of the
+    rows still searching and their indices, and it returns one value per
+    row, each depending on that row alone. A zero projected step is
+    stationary: accepted, unchanged, with no evaluation. Returns
+    (new_values, new_objective, accepted, next_eta), the last three one
+    entry per row. Per row, next_eta is where the row's next search should
+    start (Lin 2007): the accepted step / BACKTRACK, so the step can grow;
+    the smallest step tried after a rejected search, so it keeps shrinking;
+    and the given step for a stationary row. Per entry, every search starts
+    at t = 1 and next_eta is the t it ended on: the accepted t, the smallest
+    t tried, or 1.
     """
     f = np.array(f_current, dtype=float)
     rows = values.reshape(f.size, -1)
     step = grad.reshape(f.size, -1)
     out = rows.copy()
     pending = np.ones(f.size, dtype=bool)
-    # every pending row has halved its step the same number of times
-    eta = np.array(np.broadcast_to(eta, f.shape), dtype=float)
+    per_entry = np.ndim(eta) == 2
+    D = np.asarray(eta, dtype=float).reshape(rows.shape) if per_entry else 1.0
+    # every pending row has halved its step (eta or t) the same number of times
+    eta = np.ones(f.size) if per_entry else np.array(np.broadcast_to(eta, f.shape), dtype=float)
     next_eta = eta.copy()
     for _ in range(MAX_HALVINGS + 1):
-        trial = np.maximum(0.0, rows - eta[:, None] * step)
-        dist2 = np.add.reduce((trial - rows) ** 2, axis=1)
+        trial = np.maximum(0.0, rows - eta[:, None] * D * step)
+        moved2 = (trial - rows) ** 2
+        dist2 = np.add.reduce(moved2, axis=1)
         pending &= dist2 != 0.0
         if not pending.any():
             break
         idx = np.flatnonzero(pending)
         f_trial = f.copy()  # settled rows keep their value and are ignored
         f_trial[idx] = eval_rows(trial[idx], idx)
+        if per_entry:
+            dist2 = np.add.reduce(np.divide(moved2, D, out=np.zeros_like(D), where=D > 0), axis=1)
         ok = pending & (f_trial <= f - ARMIJO_C * dist2 / eta)
         out[ok] = trial[ok]
         f = np.where(ok, f_trial, f)
         pending &= ~ok
-        next_eta[ok] = eta[ok] / BACKTRACK
+        next_eta[ok] = eta[ok] if per_entry else eta[ok] / BACKTRACK
         next_eta[pending] = eta[pending]
         eta *= BACKTRACK
     return out.reshape(values.shape), f, ~pending, next_eta

@@ -4,10 +4,19 @@ Each sweep updates the shared block first, then every modality block in
 declaration order. A step is a non-negative projection of a gradient
 step, with Armijo backtracking on the step size (at most
 model.MAX_HALVINGS halvings) so accepted sweeps never increase the
-objective. Each block is one row of model.projected_step and keeps its
-own step size: its first search starts at cfg.step0 and every later one
-where the last left off, so a block whose gradient is huge near the
-bound is not re-searched from step0 every sweep.
+objective. Each block is one row of model.projected_step, in one of two
+step forms:
+
+- the scaled step, for the shared block when every tensor of the spec is
+  Poisson: one step per entry, model.em_step, searched from t = 1, where
+  the trial is the multiplicative EM update, which never raises the NLL,
+  so a step is one evaluation unless the Armijo test halves t; no step
+  size is carried from one sweep to the next;
+- the additive step, for every modality block and for a shared block that
+  a Gaussian term touches: one step size per block, whose first search
+  starts at cfg.step0 and every later one where the last left off, so a
+  block whose gradient is huge near the bound is not re-searched from
+  step0 every sweep.
 
 The solver keeps the parts of the current objective (model.objective):
 each NLL term and each modality's unweighted penalty sums. A trial is
@@ -28,8 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import likelihoods as lk
 from .errors import NumericError
-from .model import SHARED, gradient_block, objective, projected_step
+from .model import SHARED, em_step, gradient_block, objective, projected_step
 
 
 @dataclass
@@ -37,7 +47,9 @@ class TrainReport:
     loss_trace: list = field(default_factory=list)  # (sweep, objective)
     stop_reason: str = "budget"  # "converged" | "stalled" | "budget"
     sweeps_run: int = 0
-    # {sweep, objective, step_accepted_per_block, step_size_per_block}
+    # {sweep, objective, step_accepted_per_block, step_size_per_block}: an
+    # additive block's step size is where its next search starts, a scaled
+    # block's the t its search ended on (the accepted t)
     step_log: list = field(default_factory=list)
 
     @property
@@ -53,9 +65,10 @@ class TrainReport:
 def train(model, cfg=None):
     """Run BCD sweeps until converged, stalled or out of budget.
 
-    Every block carries its step size from one sweep to the next; the
-    step log records, per logged sweep, whether each block accepted its
-    step and the step its next search starts from.
+    Every additive block carries its step size from one sweep to the next;
+    the step log records, per logged sweep, whether each block accepted its
+    step and the step its next search starts from, or, for a scaled block,
+    the t its search ended on.
     """
     cfg = cfg or model.spec.solver
     parts = {}  # the current iterate's objective parts
@@ -67,6 +80,7 @@ def train(model, cfg=None):
     report.loss_trace.append((0, f))
     blocks = [SHARED] + model.spec.modality_order
     steps = dict.fromkeys(blocks, cfg.step0)
+    em_shared = all(t.distribution == lk.POISSON for t in model.spec.tensors)
 
     stop_reason = "budget"
     sweep = 0
@@ -82,8 +96,8 @@ def train(model, cfg=None):
                 last.update(parts)  # parts holds every key, so no earlier trial's part is left
                 return objective(model, _name, last, trial.reshape(_shape))
 
-            new_values, f_new, accepted, eta = projected_step(
-                old, grad, eval_rows, [f], steps[name])
+            eta = em_step(model, old, grad) if em_shared and name == SHARED else steps[name]
+            new_values, f_new, accepted, eta = projected_step(old, grad, eval_rows, [f], eta)
             # plain float and bool, as the JSON step log needs
             f, accepted_flags[name] = float(f_new[0]), bool(accepted[0])
             steps[name] = float(eta[0])

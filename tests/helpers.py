@@ -1,8 +1,10 @@
 """Shared builders for small synthetic models used across the test suite,
 the brute-force full-tensor oracles the marginal algebra is checked against,
-and the plain ISTA oracle the lasso-logistic solver is checked against."""
+the factor match score planted recoveries are scored by, and the plain ISTA
+oracle the lasso-logistic solver is checked against."""
 
 import csv
+import itertools
 
 import numpy as np
 
@@ -64,6 +66,25 @@ def planted_marginal(truth, modalities, k):
     """The planted mean synth_generate draws modality k of a tensor over
     `modalities` from."""
     return reconstruct_marginal(truth.shared, [truth.modality_factors[m] for m in modalities], k)
+
+
+def fms(fitted, planted):
+    """Factor match score of fitted factors against planted ones (Tomasi &
+    Bro 2006; Chi & Kolda 2012): the column congruences (cosines) of each
+    factor pair, multiplied across the factors, averaged over the columns
+    under the best column permutation and divided by the larger rank. A
+    zero column matches nothing. Brute force, so both ranks are at most 6."""
+    n = max(fitted[0].shape[1], planted[0].shape[1])
+    if n > 6:
+        raise ValueError(f"fms searches every column permutation; rank {n} is above 6")
+    congruence = np.zeros((n, n))
+    congruence[:fitted[0].shape[1], :planted[0].shape[1]] = 1.0
+    for A, B in zip(fitted, planted, strict=True):
+        unit = [U / np.where(norm > 0, norm, 1.0)
+                for U, norm in ((A, np.linalg.norm(A, axis=0)), (B, np.linalg.norm(B, axis=0)))]
+        congruence[:A.shape[1], :B.shape[1]] *= unit[0].T @ unit[1]
+    return max(congruence[np.arange(n), list(perm)].sum()
+               for perm in itertools.permutations(range(n))) / n
 
 
 def write_labels(path, shared_ids, labels):

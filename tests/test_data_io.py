@@ -261,6 +261,15 @@ class TestNames:
             save_observations(obs, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("ids", [["p0", "q1"], ["p1", "p0"], ["p0"]])
+    def test_save_rejects_patients_that_differ_from_the_first_modality(self, tmp_path, ids):
+        # the manifest lists A's patients, against which load reads B's triplets
+        obs = {"A": make_obs("A", [[1.0], [2.0]], "poisson", "integer", ["p0", "p1"]),
+               "B": make_obs("B", np.ones((len(ids), 2)), "poisson", "integer", ids)}
+        with pytest.raises(ConfigurationError, match="modality 'B': patient ids differ"):
+            save_observations(obs, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("name", ["../esc", "shared", "", ".."])
     def test_save_rejects_modality_name_that_escapes_or_clashes(self, tmp_path, name):
         obs = {name: make_obs("A", [[1.0]], "poisson", "integer")}

@@ -2,14 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import margfact.model as mmodel
 from margfact import (InteractionTensorSpec, ModelSpec, RegularizerConfig,
-                      SolverConfig, build_model, nll, objective,
+                      SolverConfig, build_model, gradient_block, nll, objective,
                       projected_step, reconstruct_marginal, solver,
                       synth_generate, train)
 from margfact.likelihoods import ObservationKind
-from margfact.model import BACKTRACK, SHARED, Term
+from margfact.model import ARMIJO_C, BACKTRACK, SHARED, Term, em_step
 
 from helpers import make_obs, poisson_pair_model, small_mixed_model
 
@@ -158,6 +160,92 @@ class TestRowProjectedStep:
         assert accepted.all()
 
 
+class TestPerEntryStep:
+    """A 2-D eta is one step per entry, scaled by t from 1: the EM step's form."""
+
+    def test_broadcast_row_steps_give_the_per_row_result_bit_for_bit(self, halvings):
+        halvings(12)
+        w, t, x, grad = TestRowProjectedStep.problem()
+        eta = np.array([1.0, 0.25, 0.01, 2.0, 4.0, 3.0])
+
+        def f_rows(v, rows):
+            return 0.5 * w[rows] * np.sum((v - t[rows]) ** 2, axis=1)
+
+        f0 = f_rows(x, np.arange(6))
+        new, f, accepted, nxt = projected_step(x, grad, f_rows, f0, eta)
+        new_e, f_e, accepted_e, t_end = projected_step(
+            x, grad, f_rows, f0, np.broadcast_to(eta[:, None], x.shape))
+        np.testing.assert_array_equal(new_e, new)
+        np.testing.assert_array_equal(f_e, f)
+        np.testing.assert_array_equal(accepted_e, accepted)
+        assert list(accepted) == [True] * 5 + [False]
+        # t is the share of eta the search ended on; per row, an accepted
+        # step is also where the next search starts, times BACKTRACK
+        np.testing.assert_array_equal((t_end * eta)[:3], (nxt * BACKTRACK)[:3])
+        np.testing.assert_array_equal(t_end[3:], [1.0, 1.0, BACKTRACK ** 12])
+
+    def test_zero_entries_of_the_step_stay_unmoved_without_warnings(self):
+        # pytest makes a RuntimeWarning (say 0 / 0 in the Armijo sum) an error
+        x = np.array([[0.5, 1.0, 0.0], [2.0, 0.0, 0.25]])
+        D = np.array([[0.0, 0.5, 0.0], [0.0, 0.25, 1.0]])
+
+        def f_rows(v, rows):
+            return np.sum((v - 3.0) ** 2, axis=1)
+
+        new, f, accepted, t_end = projected_step(x, -np.ones_like(x), f_rows,
+                                                 f_rows(x, [0, 1]), D)
+        assert accepted.all() and np.all(f < f_rows(x, [0, 1]))
+        np.testing.assert_array_equal(new[:, 0], x[:, 0])
+        np.testing.assert_array_equal(new[0, 2], 0.0)
+        np.testing.assert_array_equal(t_end, [1.0, 1.0])
+
+    def test_zero_column_of_P_leaves_the_shared_column_unmoved(self):
+        model = poisson_pair_model(seed=0)
+        model.factors["A"][:, 0] = 0.0  # every term's prod colsum(B_m) is 0 in column 0
+        S, f0 = model.shared, objective(model)
+        grad = gradient_block(model, SHARED)
+        D = em_step(model, S, grad)
+        assert np.all(D[:, 0] == 0.0) and np.all(D[:, 1:] > 0.0)
+        new, f, accepted, t_end = projected_step(
+            S, grad, lambda trial, _: objective(model, SHARED, None, trial.reshape(S.shape)),
+            [f0], D)
+        np.testing.assert_array_equal(new[:, 0], S[:, 0])
+        assert accepted[0] and f[0] < f0 and t_end[0] == 1.0
+        assert not np.array_equal(new[:, 1:], S[:, 1:])
+
+    def test_kappa_lifts_a_zero_entry_the_gradient_pulls_up(self):
+        model = poisson_pair_model(seed=2)
+        model.shared[0] = 0.0
+        grad = gradient_block(model, SHARED)
+        assert np.all(grad[0] < 0)  # counts but no mean: every entry is pulled up
+        D = em_step(model, model.shared, grad)
+        assert np.all(D[0] > 0)
+        assert np.all(np.maximum(0.0, model.shared - D * grad)[0] > 0)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(layout=st.sampled_from(["pair", "shared_twice", "three_way"]),
+           n_patients=st.integers(2, 30), n_items=st.integers(1, 8), rank=st.integers(1, 4),
+           rate=st.sampled_from([0.05, 0.5, 3.0, 20.0]), spread=st.floats(1e-3, 1e3),
+           seed=st.integers(0, 2 ** 16))
+    def test_em_trial_at_t_one_never_raises_the_objective(self, layout, n_patients, n_items,
+                                                          rank, rate, spread, seed):
+        modalities = {"pair": [["A", "B"]], "shared_twice": [["A", "B"], ["A", "C"]],
+                      "three_way": [["A", "B", "C"]]}[layout]
+        rng = np.random.default_rng(seed)
+        names = sorted({m for tensor in modalities for m in tensor})
+        obs = {m: make_obs(m, rng.poisson(rate, (n_patients, n_items + i)), "poisson",
+                           "integer") for i, m in enumerate(names)}
+        spec = ModelSpec(rank=rank, tensors=[InteractionTensorSpec(f"t{i}", mods, "poisson")
+                                             for i, mods in enumerate(modalities)],
+                         init_seed=seed)
+        model = build_model(spec, obs)
+        model.shared *= spread  # starts far above and far below the counts' scale
+        f0 = objective(model)
+        grad = gradient_block(model, SHARED)
+        trial = np.maximum(0.0, model.shared - em_step(model, model.shared, grad) * grad)
+        assert objective(model, SHARED, None, trial) <= f0 + 1e-12 * abs(f0)
+
+
 class TestStepMemory:
     """projected_step returns where the next search should start."""
 
@@ -276,7 +364,7 @@ class TestStopReason:
 
     def test_no_block_moving_is_stalled(self, halvings):
         halvings(0)
-        model = poisson_pair_model(seed=1)
+        model = small_mixed_model(seed=1, n_patients=12)  # a Gaussian term: every step additive
         f0 = objective(model)
         report = train(model, SolverConfig(step0=1e6, log_every=5))
         assert report.stop_reason == "stalled" and not report.converged
@@ -287,15 +375,8 @@ class TestStopReason:
         assert set(entry["step_size_per_block"].values()) == {1e6}
 
     def test_flat_objective_with_a_frozen_block_is_stalled(self, monkeypatch):
-        model = poisson_pair_model(seed=1)
+        model = _frozen_shared(monkeypatch)
         frozen = model.shared.copy()
-
-        def shared_always_rejects(values, grad, eval_rows, f, eta):
-            if values is model.shared:
-                return values.copy(), np.array(f), np.zeros(1, dtype=bool), np.array([eta])
-            return projected_step(values, grad, eval_rows, f, eta)
-
-        monkeypatch.setattr(solver, "projected_step", shared_always_rejects)
         report = train(model, SolverConfig(max_sweeps=5000, tol=1e-6))
         assert report.stop_reason == "stalled" and not report.converged
         assert report.sweeps_run > 1
@@ -444,22 +525,25 @@ def _sparse_model(monkeypatch):
 
 
 def _frozen_shared(monkeypatch):
-    """test_flat_objective_with_a_frozen_block_is_stalled's stand-in search."""
+    """A search in which every trial of the shared block scores +inf, so it
+    is rejected to its last halving, whichever step form the block takes."""
     model = poisson_pair_model(seed=1)
 
+    def rejects_all(trial, idx):
+        return np.full(idx.size, np.inf)
+
     def shared_always_rejects(values, grad, eval_rows, f, eta):
-        if values is model.shared:
-            return values.copy(), np.array(f), np.zeros(1, dtype=bool), np.array([eta])
-        return projected_step(values, grad, eval_rows, f, eta)
+        return projected_step(values, grad, rejects_all if values is model.shared else eval_rows,
+                              f, eta)
 
     monkeypatch.setattr(solver, "projected_step", shared_always_rejects)
     return model
 
 
 def _rejected_everywhere(monkeypatch):
-    """test_no_block_moving_is_stalled's search: one trial, far too long."""
+    """test_no_block_moving_is_stalled's search: one additive trial, far too long."""
     monkeypatch.setattr(mmodel, "MAX_HALVINGS", 0)
-    model = poisson_pair_model(seed=1)
+    model = small_mixed_model(seed=1, n_patients=12)
     model.spec.solver.step0 = 1e6
     return model
 
@@ -487,11 +571,12 @@ def _stationary_after_rejected_trial(monkeypatch):
     """One search that rejects its first trial and then finds a zero
     projected step: accepted, unchanged, after a trial. In sweep 1 M1's
     gradient is replaced by a step that moves every entry with a positive
-    gradient uphill by one ulp, which raises the objective, and which
-    halved rounds to no move."""
+    gradient uphill by one ulp, and which halved rounds to no move. The
+    first step, 1e-30, makes the Armijo margin of that one-ulp trial far
+    exceed what it can change the objective by, so it is rejected."""
     monkeypatch.setattr(mmodel, "MAX_HALVINGS", 1)
     model = _shared_twice_model()
-    eta = model.spec.solver.step0
+    eta = model.spec.solver.step0 = 1e-30
     gradient_block, crafted = mmodel.gradient_block, []
 
     def uphill_once(m, block):
@@ -502,9 +587,9 @@ def _stationary_after_rejected_trial(monkeypatch):
         # x - eta * step rounds to x + ulp, and x - eta / 2 * step to x
         step = np.where((U > 0) & (grad > 0), -0.75 * np.spacing(U) / eta, 0.0)
         assert np.array_equal(np.maximum(0.0, U - eta / 2 * step), U)
-        m.factors["M1"] = np.maximum(0.0, U - eta * step)
-        assert objective(m) > f  # so the first trial is rejected
-        m.factors["M1"] = U
+        trial = np.maximum(0.0, U - eta * step)
+        margin = ARMIJO_C * np.sum((trial - U) ** 2) / eta
+        assert objective(m, "M1", values=trial) > f - margin  # so the first trial is rejected
         crafted.append(block)
         return step
 

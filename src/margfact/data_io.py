@@ -58,6 +58,13 @@ def _field(value):
     return '"' + s.replace('"', '""') + '"' if _NEEDS_QUOTES.search(s) else s
 
 
+def _fields(values):
+    """Each of values as a CSV field (_field); one search of their joined text
+    finds whether any needs quotes, as the search matches single characters."""
+    texts = list(map(str, values))
+    return list(map(_field, texts)) if _NEEDS_QUOTES.search("".join(texts)) else texts
+
+
 def check_modality_name(name, error):
     """Raise error unless name can name a modality: its files are <name>.csv
     and <name>.vocab.txt, beside a model's shared.csv, in one directory."""
@@ -117,14 +124,19 @@ class ObservationMatrix:
         if values.shape != (len(self.shared_ids), len(self.item_ids)):
             raise IngestionError(f"{self.modality}: value shape {values.shape} does not match "
                                  f"ids ({len(self.shared_ids)}, {len(self.item_ids)})")
-        flat = values.ravel(order="K")  # a view unless values has gaps
-        nonzero = flat[np.flatnonzero(flat)]  # a zero breaks no rule
-        if nonzero.dtype.kind not in "biuf":  # bool, integer and float are checked as they are
-            nonzero = nonzero.astype(float)
-        for mask, what in _value_faults(self.kind, nonzero):
+        if values.dtype.kind in "bu":
+            # a rule a bool or unsigned value can break (non-binary, 2**53 or
+            # more) holds for the largest value exactly when it holds for every cell
+            checked = values.max(initial=0, keepdims=True)
+        else:
+            flat = values.ravel(order="K")  # a view unless values has gaps
+            checked = flat[np.flatnonzero(flat)]  # a zero breaks no rule
+            if checked.dtype.kind not in "if":  # integer and float are checked as they are
+                checked = checked.astype(float)
+        for mask, what in _value_faults(self.kind, checked):
             if mask.any():
                 raise IngestionError(f"{self.modality}: {what} in a {self.kind} matrix")
-        self.values = values.astype(_value_dtype(self.kind, nonzero), copy=False)
+        self.values = values.astype(_value_dtype(self.kind, checked), copy=False)
 
     @property
     def n_items(self):
@@ -185,20 +197,34 @@ def _read_triplets(path):
     return _parse_triplets(path, text)
 
 
-def _split_triplets(body):
-    """The columns of the lines after a triplet header, split at commas and
-    line feeds, or None unless every line holds three fields and every value
-    is a float."""
+#: every byte but a comma and a line feed, which csv.reader cuts plain text at
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
+
+
+def _split_fields(body, width):
+    """The fields of the lines after a header, in order, split at commas and
+    line feeds, or None unless every line holds `width` (2 or more) fields."""
     if not body:
-        return [], [], np.zeros(0)
-    body = body.removesuffix("\n")
-    raw = np.frombuffer(body.encode(), dtype=np.uint8)
-    separators = raw[(raw == ord(",")) | (raw == ord("\n"))]
-    # three fields a line: a line feed after every second comma, none elsewhere
-    if separators.size % 3 != 2 or not np.array_equal(
-            np.flatnonzero(separators == ord("\n")), np.arange(2, separators.size, 3)):
+        return []
+    ended = body.endswith("\n")
+    separators = body.encode().translate(None, _NOT_SEPARATORS)
+    # width fields a line: width - 1 commas, then a line feed unless it is the unended last
+    lines = (b"," * (width - 1) + b"\n") * (separators.count(b"\n") + (not ended))
+    if separators != (lines if ended else lines[:-1]):
         return None
     fields = body.replace("\n", ",").split(",")
+    if ended:
+        fields.pop()  # the empty field after the final line feed
+    return fields
+
+
+def _split_triplets(body):
+    """The columns of the lines after a triplet header, as _split_fields cuts
+    them, or None unless every line holds three fields and every value is a
+    float."""
+    fields = _split_fields(body, 3)
+    if fields is None:
+        return None
     try:
         values = np.fromiter(map(float, fields[2::3]), dtype=float, count=len(fields) // 3)
     except ValueError:
@@ -364,7 +390,7 @@ def save_observations(observations, out_dir):
         vocab_path = f"{name}.vocab.txt"
         with _open(os.path.join(out_dir, vocab_path), "w") as fh:
             fh.writelines(f"{it}\n" for it in obs.item_ids)
-        pids, items = list(map(_field, obs.shared_ids)), list(map(_field, obs.item_ids))
+        pids, items = _fields(obs.shared_ids), _fields(obs.item_ids)
         rows, cols = np.nonzero(obs.values)
         with _open(os.path.join(out_dir, triplet_path), "w") as fh:
             fh.write("patient_id,item_id,value\n")
@@ -387,26 +413,47 @@ def write_factor_csv(path, entity_ids, U):
     with _open(path, "w") as fh:
         fh.write("entity_id," + ",".join(f"f{r + 1}" for r in range(U.shape[1])) + "\n")
         fh.writelines(row % (eid, *values)
-                      for eid, values in zip(map(_field, entity_ids), U.tolist()))
+                      for eid, values in zip(_fields(entity_ids), U.tolist()))
 
 
 def read_factor_csv(path):
-    """Read a factor matrix CSV; returns (entity_ids, array)."""
-    ids, rows = [], []
+    """Read a factor matrix CSV; returns (entity_ids, array).
+
+    Text without a double quote or a carriage return whose lines are all as
+    wide as its header is split in one pass, as _read_triplets splits its
+    text; other text is read by csv.reader, which names the line of its
+    first fault. Either way every entry is parsed with float().
+    """
     with _open(path) as fh:
-        reader = csv.reader(fh)
-        width = len(next(reader, []))
-        if width < 2:
-            raise IngestionError(f"{path}:1: expected header entity_id,f1,...,fR")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise IngestionError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-            ids.append(row[0])
-            rows.append(row[1:])
+        text = fh.read()
+    header, _, body = text.partition("\n")
+    width = header.count(",") + 1
+    fields = (_split_fields(body, width)
+              if width >= 2 and '"' not in text and "\r" not in text else None)
+    if fields is None:
+        width, fields = _parse_factor_fields(path, text)
+    ids = fields[0::width]
+    del fields[0::width]
     try:
-        return ids, np.array(rows, dtype=float).reshape(len(ids), width - 1)
+        values = np.fromiter(map(float, fields), dtype=float, count=len(fields))
     except ValueError as exc:
         raise IngestionError(f"{path}: bad factor entry ({exc})") from exc
+    return ids, values.reshape(len(ids), width - 1)
+
+
+def _parse_factor_fields(path, text):
+    """The header's width and the fields of the lines after it, in order, of a
+    factor CSV's text by csv.reader, row by row."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    width = len(next(reader, []))
+    if width < 2:
+        raise IngestionError(f"{path}:1: expected header entity_id,f1,...,fR")
+    fields = []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != width:
+            raise IngestionError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+        fields += row
+    return width, fields
 
 
 def save_factors(out_dir, shared, factors, observations):

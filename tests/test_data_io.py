@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import margfact.data_io as data_io
 from margfact import (ConfigurationError, GaussianParams, IngestionError,
                       InteractionTensorSpec, ModelSpec, ObservationKind, ObservationMatrix,
                       binarize, load_observations, save_observations, split_train_test,
@@ -434,6 +435,30 @@ class TestObservationMatrix:
         assert obs.values is values
         assert peak <= values.size
 
+    @staticmethod
+    def stored(datatype, values):
+        return ObservationMatrix("Lab", ["p0", "p1"], ["x", "y"],
+                                 ObservationKind("poisson", datatype), values)
+
+    @pytest.mark.parametrize("datatype,values,what", [
+        ("binary", np.array([[0, 1], [2, 1]], dtype=np.uint8), "non-binary value"),
+        ("binary", np.array([[1, 0], [0, 255]], dtype=np.uint16), "non-binary value"),
+        ("integer", np.array([[3, 0], [2 ** 53, 1]], dtype=np.uint64), "count of 2**53 or more")])
+    def test_unsigned_matrix_refused_on_its_largest_value(self, datatype, values, what):
+        with pytest.raises(IngestionError,
+                           match=re.escape(f"Lab: {what} in a poisson-{datatype} matrix")):
+            self.stored(datatype, values)
+
+    @pytest.mark.parametrize("datatype,values,dtype", [
+        ("binary", np.array([[True, False], [False, True]]), bool),
+        ("binary", np.zeros((2, 2), dtype=bool), bool),
+        ("binary", np.array([[1, 0], [0, 1]], dtype=np.uint32), bool),
+        ("integer", np.array([[0, 2 ** 53 - 1], [7, 0]], dtype=np.uint64), np.uint64)])
+    def test_unsigned_matrix_within_the_rules_accepted(self, datatype, values, dtype):
+        obs = self.stored(datatype, values)
+        assert obs.values.dtype == dtype
+        np.testing.assert_array_equal(obs.values, values)
+
 
 class TestBinarize:
     def test_indicator(self):
@@ -856,3 +881,84 @@ class TestTripletParse:
         "p0,x,1\n\n", "p0,x,abc\n", "\n"])
     def test_split_declines_what_csv_reader_must_read(self, body):
         assert _split_triplets(body) is None
+
+
+def reference_factor(path):
+    """A factor file's ids and entries by csv.reader and float(), one row at a
+    time: the reading the one-pass split must reproduce, error for error."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    width = len(rows[0]) if rows else 0
+    if width < 2:
+        raise IngestionError(f"{path}:1: expected header entity_id,f1,...,fR")
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != width:
+            raise IngestionError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+    try:
+        values = [float(f) for row in rows[1:] for f in row[1:]]
+    except ValueError as exc:
+        raise IngestionError(f"{path}: bad factor entry ({exc})") from exc
+    return [row[0] for row in rows[1:]], np.array(values, dtype=float).reshape(-1, width - 1)
+
+
+@st.composite
+def factor_texts(draw):
+    """Factor files: a header of 1-4 fields; ids and entries with commas,
+    quotes and spaces, written raw or quoted; LF or CRLF endings; blank lines;
+    lines one field short or long; sometimes no final line break. Half are
+    plain text (no quote, no carriage return), the text the one-pass split
+    reads."""
+    plain = draw(st.booleans())
+    fields = FIELDS.map(lambda f: f.replace('"', "")) if plain else FIELDS
+    width = draw(st.sampled_from([3, 3, 2, 4, 1]))
+    header = ",".join(["entity_id"] + [f"f{r}" for r in range(1, width)])
+    lines = [header if plain or draw(st.booleans()) else '"entity_id"' + header[9:]]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+            continue
+        count = draw(st.sampled_from([width] * 4 + [width - 1, width + 1]))
+        row = draw(st.lists(fields, min_size=count, max_size=count))
+        quote = not plain and draw(st.booleans())
+        lines.append(",".join('"' + f.replace('"', '""') + '"' if quote else f for f in row))
+    end = "\n" if plain else draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def factor_outcome(read, path):
+    try:
+        ids, U = read(path)
+    except IngestionError as exc:
+        return str(exc)
+    return ids, U.shape, U.tobytes()  # bit for bit, NaN included
+
+
+class TestFactorParse:
+    @settings(max_examples=300, deadline=None)
+    @given(factor_texts())
+    def test_factor_read_reads_as_csv_reader(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "B.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            assert factor_outcome(read_factor_csv, path) == factor_outcome(reference_factor, path)
+
+    def test_written_factor_takes_the_split(self, tmp_path, monkeypatch):
+        U = np.random.default_rng(5).uniform(size=(6, 3))
+        write_factor_csv(tmp_path / "B.csv", [f"B_{i}" for i in range(6)], U)
+        monkeypatch.setattr(data_io, "_parse_factor_fields", None)  # a call would fail
+        ids, got = read_factor_csv(tmp_path / "B.csv")
+        assert ids == [f"B_{i}" for i in range(6)]
+        np.testing.assert_array_equal(got, U)
+
+    @pytest.mark.parametrize("body,width,fields", [
+        ("", 2, []), ("a,1\n", 2, ["a", "1"]), ("a,1,2\nb,3,4", 3, ["a", "1", "2", "b", "3", "4"]),
+        ("a,,\n,1,2\n", 3, ["a", "", "", "", "1", "2"])])
+    def test_split_fields_cuts_lines_of_width_fields(self, body, width, fields):
+        assert data_io._split_fields(body, width) == fields
+
+    @pytest.mark.parametrize("body,width", [
+        ("a,1\nb\n", 2), ("a,1,2\nb\n", 2), ("a,1\n\n", 2), ("\n", 2), ("a,1\nb,2\n", 3),
+        ("a,1\nb,2,3", 2), ("a,1,\nb,2\n", 2)])
+    def test_split_fields_declines_other_widths(self, body, width):
+        assert data_io._split_fields(body, width) is None

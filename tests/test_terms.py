@@ -188,6 +188,72 @@ def test_column_order_is_the_row_order_stably_sorted_by_column(case, monkeypatch
         assert {a.dtype for a in (by_row.Y_row, by_col.Y_row)} == {np.dtype(np.int32)}
 
 
+def brute_cells(V):
+    """_cells' two orders by np.nonzero and a stable int64 argsort of the columns."""
+    rows, cols = np.nonzero(V)
+    at = np.argsort(cols.astype(np.int64), kind="stable")
+    by_row = (cols, V[rows, cols], np.concatenate(([0], np.cumsum(np.count_nonzero(V, axis=1)))))
+    by_col = (rows[at], V[rows[at], cols[at]],
+              np.concatenate(([0], np.cumsum(np.count_nonzero(V, axis=0)))))
+    return by_row, by_col
+
+
+def sparse_matrix(rng, shape, dtype, density=0.1):
+    present = rng.uniform(size=shape) < density
+    return (present * rng.integers(1, 200, size=shape)).astype(dtype)
+
+
+def few_cells_wide(rng, dtype):
+    """70,000 columns, past a 16-bit column key, with cells at both ends."""
+    V = np.zeros((4, 70_000), dtype=dtype)
+    V[[3, 0, 0, 2, 1], [69_999, 65_536, 3, 65_535, 65_536]] = 1
+    return V
+
+
+def columns_zeroed(rng, dtype):
+    V = sparse_matrix(rng, (30, 12), dtype, density=0.5)
+    V[[0, 7, 29]] = 0
+    V[:, [0, 5, 11]] = 0
+    return V
+
+
+CELL_MATRICES = {
+    "random": lambda rng, dtype: sparse_matrix(rng, (40, 25), dtype),
+    "no_rows": lambda rng, dtype: np.zeros((0, 6), dtype=dtype),
+    "all_zero": lambda rng, dtype: np.zeros((5, 4), dtype=dtype),
+    "zero_rows_and_columns": columns_zeroed,
+    "one_column": lambda rng, dtype: sparse_matrix(rng, (50, 1), dtype, density=0.5),
+    "300_columns": lambda rng, dtype: sparse_matrix(rng, (20, 300), dtype, density=0.05),
+    "70000_columns": few_cells_wide,
+}
+
+
+@pytest.mark.parametrize("dtype", [bool, np.uint8])
+@pytest.mark.parametrize("case", sorted(CELL_MATRICES))
+def test_cells_match_nonzero_and_a_stable_int64_sort(case, dtype):
+    """The flat scan and the narrow column key give np.nonzero's cells and a
+    stable int64 sort of their columns, index, value and pointer alike."""
+    V = CELL_MATRICES[case](np.random.default_rng(3), dtype)
+    cells = mmodel._cells(V)
+    for got, want in zip(cells, brute_cells(V), strict=True):
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b)
+        assert got.Y_row.dtype == np.int32 and got.val.dtype == V.dtype
+
+
+def test_cells_build_peak_stays_under_25_5_bytes_a_cell():
+    """Rows and columns are taken from the flat index one at a time, so the
+    build peaks no higher than the 2-D np.nonzero build it replaced."""
+    V = random_cells(np.random.default_rng(0), (2000, 1000), "binary", density=0.02) > 0
+    tracemalloc.start()
+    try:
+        mmodel._cells(V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25.5 * np.count_nonzero(V)
+
+
 @pytest.mark.parametrize("datatype", ["binary", "integer"])
 def test_sparse_cells_hold_under_12_bytes_a_cell(datatype):
     """A sparse term's two cell orders hold an int32 index and V's one-byte
